@@ -21,9 +21,11 @@ from .curvature import (
 )
 from .derivation import (
     KahlerSymmetryWarning,
+    NumericBreakdownError,
     curv_dot,
     curvature_operators,
     endo_derive,
+    fused_sups,
     pseudosymmetry_defect,
 )
 from .identities import (
@@ -72,6 +74,7 @@ __all__ = [
     "HermitianSpace",
     "KahlerSymmetryWarning",
     "NoAdmissibleRootError",
+    "NumericBreakdownError",
     "Profile",
     "ProfileReport",
     "ProfileSample",
@@ -91,6 +94,7 @@ __all__ = [
     "eval_profile",
     "fit_coefficients",
     "frobenius_inner",
+    "fused_sups",
     "from_text",
     "hol_sect",
     "lower_first",

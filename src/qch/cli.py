@@ -4,8 +4,8 @@ Reports are deterministic: identical flags and seed reproduce byte-identical
 JSON (the timestamp is the only run-dependent field, and ``--no-timestamp``
 drops it).  Every numeric scalar is serialized as a decimal string with 17
 significant digits so values round-trip exactly.  Exit status: 0 when every
-check passes, 1 on a failed check or an unsolvable profile, 2 on usage
-errors.
+check passes, 1 on a failed check, a numeric breakdown or an unsolvable
+profile, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .curvature import build_phi, build_pi, build_psi
+from .derivation import NumericBreakdownError
 from .identities import (
     CheckResult,
     run_suite,
@@ -132,8 +133,6 @@ def _dump_tensors(path: str, n: int, seed: int) -> None:
 def _run_verify(args) -> int:
     if args.n < 2:
         raise ValueError("--n must be at least 2")
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     if args.coeff_range <= 0:
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         return _run_profile(args)
-    except NoAdmissibleRootError as exc:
+    except (NoAdmissibleRootError, NumericBreakdownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # precondition violations are usage errors

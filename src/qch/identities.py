@@ -2,15 +2,19 @@
 
 Each verifier returns :class:`CheckResult` records with the measured sup-norm
 defect, the effective tolerance, and a verdict; a result passes exactly when
-``max_defect <= tolerance``.  Equality checks between two nonzero products
-guard against vacuous passes by requiring the left side to be comfortably
-nonzero first (a failed guard reports an infinite defect rather than a
-spurious pass).  All randomness is seeded PCG64, so identical inputs and
-seeds reproduce identical results.
+``max_defect`` is finite and at most ``tolerance``.  Equality checks between
+two nonzero products guard against vacuous passes by requiring the left side
+to be comfortably nonzero first (a failed guard reports an infinite defect,
+which fails at any tolerance).  Every derivation product is reduced on the
+fly by :func:`~qch.derivation.fused_sups`; a product that overflows raises
+:class:`~qch.derivation.NumericBreakdownError` rather than giving a verdict.
+The base tolerance must be finite and positive.  All randomness is seeded
+PCG64, so identical inputs and seeds reproduce identical results.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,7 +31,7 @@ from .curvature import (
     hol_sect,
     product_curvature,
 )
-from .derivation import curv_dot
+from .derivation import fused_sups
 from .spaces import HermitianSpace, make_space, project_D, random_adapted_change
 from .tensors import Tensor, max_abs
 
@@ -60,9 +64,14 @@ def _result(name: str, space: HermitianSpace, seed: int, defect: float,
         seed=seed,
         max_defect=float(defect),
         tolerance=float(tolerance),
-        passed=bool(defect <= tolerance),
+        passed=bool(math.isfinite(defect) and defect <= tolerance),
         elapsed=time.perf_counter() - started,
     )
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _blocks(space: HermitianSpace, seed: int, phi_noise: float):
@@ -91,6 +100,7 @@ def verify_multiplication_table(
     the mixed block first, which breaks the relations by about that amount
     (useful to confirm the checks can fail).
     """
+    _check_tol(tol)
     pi, phi, psi = _blocks(space, seed, phi_noise)
     results = []
 
@@ -103,7 +113,7 @@ def verify_multiplication_table(
     ]
     for name, actor, target in zero_cases:
         started = time.perf_counter()
-        defect = max_abs(curv_dot(actor, target))
+        (defect,) = fused_sups([(actor, target)], check=name)
         tol_eff = tol * (1.0 + max_abs(actor.tensor) * max_abs(target.tensor))
         results.append(_result(name, space, seed, defect, tol_eff, started))
 
@@ -113,10 +123,10 @@ def verify_multiplication_table(
     ]
     for name, target in double_cases:
         started = time.perf_counter()
-        lhs = curv_dot(pi, target)
-        rhs = curv_dot(phi, target)
-        defect = max_abs(lhs - 2.0 * rhs)
-        if max_abs(lhs) <= 10.0 * tol:  # vacuous comparison: report loudly
+        defect, guard = fused_sups(
+            [(pi, target), (phi, target)], lambda lhs, rhs: (lhs - 2.0 * rhs, lhs), name
+        )
+        if guard <= 10.0 * tol:  # vacuous comparison: report loudly
             defect = float("inf")
         tol_eff = tol * (1.0 + max_abs(pi.tensor) * max_abs(target.tensor))
         results.append(_result(name, space, seed, defect, tol_eff, started))
@@ -125,33 +135,41 @@ def verify_multiplication_table(
 
 def verify_eq32(space: HermitianSpace, tol: float = 1e-10, seed: int = 0) -> list[CheckResult]:
     """The three coupled relations among the seven products."""
+    _check_tol(tol)
     pi, phi, psi = _blocks(space, seed, 0.0)
     results = []
 
+    def doubled(phi_phi, phi_pi, pi_phi):
+        lhs = 2.0 * phi_phi
+        return lhs - (phi_pi + pi_phi), lhs
+
+    name = "eq32:2phi.phi=phi.pi+pi.phi"
     started = time.perf_counter()
-    lhs = 2.0 * curv_dot(phi, phi)
-    rhs = curv_dot(phi, pi) + curv_dot(pi, phi)
-    defect = max_abs(lhs - rhs)
-    if max_abs(lhs) <= 10.0 * tol:
+    defect, guard = fused_sups([(phi, phi), (phi, pi), (pi, phi)], doubled, name)
+    if guard <= 10.0 * tol:
         defect = float("inf")
     tol_eff = tol * (1.0 + max_abs(phi.tensor) ** 2)
-    results.append(_result("eq32:2phi.phi=phi.pi+pi.phi", space, seed, defect, tol_eff, started))
+    results.append(_result(name, space, seed, defect, tol_eff, started))
 
+    name = "eq32:psi.psi=0"
     started = time.perf_counter()
-    defect = max_abs(curv_dot(psi, psi))
+    (defect,) = fused_sups([(psi, psi)], check=name)
     tol_eff = tol * (1.0 + max_abs(psi.tensor) ** 2)
-    results.append(_result("eq32:psi.psi=0", space, seed, defect, tol_eff, started))
+    results.append(_result(name, space, seed, defect, tol_eff, started))
 
+    def exchanged(psi_pi, pi_psi, phi_psi, psi_phi):
+        lhs = psi_pi + pi_psi
+        return lhs - 2.0 * (phi_psi + psi_phi), lhs
+
+    name = "eq32:psi.pi+pi.psi=2(phi.psi+psi.phi)"
     started = time.perf_counter()
-    lhs = curv_dot(psi, pi) + curv_dot(pi, psi)
-    rhs = 2.0 * (curv_dot(phi, psi) + curv_dot(psi, phi))
-    defect = max_abs(lhs - rhs)
-    if max_abs(lhs) <= 10.0 * tol:
+    defect, guard = fused_sups(
+        [(psi, pi), (pi, psi), (phi, psi), (psi, phi)], exchanged, name
+    )
+    if guard <= 10.0 * tol:
         defect = float("inf")
     tol_eff = tol * (1.0 + max_abs(pi.tensor) * max_abs(psi.tensor))
-    results.append(
-        _result("eq32:psi.pi+pi.psi=2(phi.psi+psi.phi)", space, seed, defect, tol_eff, started)
-    )
+    results.append(_result(name, space, seed, defect, tol_eff, started))
     return results
 
 
@@ -167,22 +185,25 @@ def verify_theorem1(
     The recorded defect is the worst relative one,
     ``max_abs(R.R - f Pi.R) / (1 + max_abs(R.R))`` over all trials.
     """
+    _check_tol(tol)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if coeff_range <= 0:
         raise ValueError("coeff_range must be positive")
+    name = "theorem1:r.r=(a+b/2)pi.r"
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    pi = build_pi(space)
+    pi, phi, psi = _blocks(space, seed, 0.0)
     worst = 0.0
     for _ in range(trials):
         a, b, c = rng.uniform(-coeff_range, coeff_range, size=3)
-        r = combine(QCHCoefficients(a, b, c), space)
-        rr = curv_dot(r, r)
-        pi_r = curv_dot(pi, r)
-        defect = max_abs(rr - (a + b / 2.0) * pi_r)
-        worst = max(worst, defect / (1.0 + max_abs(rr)))
-    return _result("theorem1:r.r=(a+b/2)pi.r", space, seed, worst, tol, started)
+        r = a * pi + b * phi + c * psi  # combine()'s arithmetic, blocks built once
+        factor = float(a + b / 2.0)
+        defect, rr = fused_sups(
+            [(r, r), (pi, r)], lambda rr, pi_r: (rr - factor * pi_r, rr), name
+        )
+        worst = max(worst, defect / (1.0 + rr))
+    return _result(name, space, seed, worst, tol, started)
 
 
 def verify_product_route(
@@ -200,6 +221,7 @@ def verify_product_route(
     vanishing R.R; and the holomorphic diagonal matches the displayed quartic
     at random unit vectors.
     """
+    _check_tol(tol)
     results = []
     product = product_curvature(k, l, space)
 
@@ -211,21 +233,19 @@ def verify_product_route(
                 tol * (1.0 + abs(k) + abs(l)), started)
     )
 
+    name = "product:semisymmetric_opposite_plane"
     started = time.perf_counter()
     opposite = product_curvature(k, -k, space)
-    defect = max_abs(curv_dot(opposite, opposite))
-    results.append(
-        _result("product:semisymmetric_opposite_plane", space, seed, defect,
-                tol * (1.0 + k * k), started)
-    )
+    (defect,) = fused_sups([(opposite, opposite)], check=name)
+    results.append(_result(name, space, seed, defect, tol * (1.0 + k * k), started))
 
+    name = "product:semisymmetric_unit_block"
     started = time.perf_counter()
     d_total = k + l
     unit_block = product_curvature(1.0, d_total - 1.0, space)
-    defect = max_abs(curv_dot(unit_block, unit_block))
+    (defect,) = fused_sups([(unit_block, unit_block)], check=name)
     results.append(
-        _result("product:semisymmetric_unit_block", space, seed, defect,
-                tol * (1.0 + d_total * d_total), started)
+        _result(name, space, seed, defect, tol * (1.0 + d_total * d_total), started)
     )
 
     started = time.perf_counter()
@@ -259,6 +279,7 @@ def run_suite(
     are drawn from the same seeded stream.  An empty ``n_list`` yields an
     empty report.
     """
+    _check_tol(tol)
     results: list[CheckResult] = []
     seeds = list(seeds)
     for n in n_list:
