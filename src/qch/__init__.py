@@ -43,6 +43,7 @@ from .profiles import (
     ProfileSample,
     ab2,
     ab2_alternate,
+    boundary_residuals,
     eval_profile,
     profile_report,
     solve_profile,
@@ -83,6 +84,7 @@ __all__ = [
     "Tensor",
     "ab2",
     "ab2_alternate",
+    "boundary_residuals",
     "build_phi",
     "build_pi",
     "build_psi",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -32,6 +33,7 @@ from .profiles import (
     Profile,
     ab2,
     ab2_alternate,
+    boundary_residuals,
     eval_profile,
     profile_report,
     solve_profile,
@@ -131,12 +133,10 @@ def _dump_tensors(path: str, n: int, seed: int) -> None:
 
 
 def _run_verify(args) -> int:
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.coeff_range <= 0:
-        raise ValueError("--coeff-range must be positive")
+    if not (math.isfinite(args.coeff_range) and args.coeff_range > 0):
+        raise ValueError("--coeff-range must be finite and positive")
 
     if args.suite == "all":
         results = run_suite([args.n], [args.seed], tol=args.tol,
@@ -199,18 +199,13 @@ def _profile_core_dict(p: Profile, residuals: tuple[float, float]) -> dict:
 def _run_profile(args) -> int:
     if args.grid < 3:
         raise ValueError("--grid must be at least 3")
-    if args.eps is not None and args.eps <= 0:
-        raise ValueError("--eps must be positive")
+    if args.eps is not None and not (math.isfinite(args.eps) and 0 < args.eps < args.L / 2):
+        raise ValueError("--eps must be finite, positive and less than L/2")
 
     p = solve_profile(args.r0, args.L, args.k, args.n)
-    left = eval_profile(p, 0.0)
-    right = eval_profile(p, p.L)
-    residuals = (
-        abs(2.0 * left.r * left.r_second - p.s),
-        abs(2.0 * right.r * right.r_second + p.s),
-    )
-    residual_tol = 1e-12
-    passed = residuals[0] <= residual_tol and residuals[1] <= residual_tol
+    eps = args.eps if args.eps is not None else p.L * 1e-3
+    residuals, bounds = boundary_residuals(p)
+    passed = all(r <= b for r, b in zip(residuals, bounds))
 
     result = _profile_core_dict(p, residuals)
     print(f"profile r0={p.r0} L={p.L} k={p.k} n={p.n}: s={p.s} "
@@ -224,12 +219,12 @@ def _run_profile(args) -> int:
         result["grid"] = [_fmt(t) for t in rep.grid]
         result["ab2_values"] = [_fmt(v) for v in rep.ab2_values]
         # cross-check the two algebraically equal forms away from the endpoints
-        eps = args.eps if args.eps is not None else p.L * 1e-3
         inner = rep.grid[(rep.grid >= eps) & (rep.grid <= p.L - eps)]
-        if inner.size:
-            form_gap = float(np.max(np.abs(ab2(p, inner) - ab2_alternate(p, inner, eps=eps))))
-            result["alternate_max_diff"] = _fmt(form_gap)
-            passed = passed and form_gap <= 1e-10
+        if not inner.size:
+            raise ValueError("--eps leaves no grid point for the alternate-form cross-check")
+        form_gap = float(np.max(np.abs(ab2(p, inner) - ab2_alternate(p, inner, eps=eps))))
+        result["alternate_max_diff"] = _fmt(form_gap)
+        passed = passed and form_gap <= 1e-10
         pts = ", ".join(f"{t:.12g}" for t in rep.sign_change_points)
         print(f"sign changes of a+b/2 at: {pts}")
         if args.csv_path:
@@ -247,7 +242,7 @@ def _run_profile(args) -> int:
             "k": str(args.k),
             "n": str(args.n),
             "grid": str(args.grid),
-            "eps": _fmt(args.eps) if args.eps is not None else _fmt(p.L * 1e-3),
+            "eps": _fmt(eps),
         },
         "results": [result],
         "overall_pass": passed,

@@ -3,10 +3,11 @@
 Three (0,4) building blocks live on the Hermitian stage: the constant
 holomorphic block built from the full metric, a mixed block coupling the
 metric to the distinguished plane, and a plane block quadratic in the plane's
-area form.  Every curvature handled here is a combination
-``a * Pi + b * Phi + c * Psi``; its holomorphic diagonal R(X, JX, JX, X) on
-unit vectors is the quartic ``a + b t^2 + c t^4`` in the plane component
-``t = |X_D|``.
+area form.  One pair pattern P, quadratic in a symmetric form and its
+J-pairing, generates them all: Pi = P(g, Omega), Psi = P(h, omega), and Phi
+polarizes the two, so every combination ``a * Pi + b * Phi + c * Psi`` is a
+quadratic form in those pairs.  Its holomorphic diagonal R(X, JX, JX, X) on
+unit vectors is the quartic ``a + b t^2 + c t^4`` in ``t = |X_D|``.
 """
 
 from __future__ import annotations
@@ -111,43 +112,31 @@ def build_pi(space: HermitianSpace) -> CurvatureTensor:
 
     Its holomorphic diagonal is identically 1 on unit vectors.
     """
-    gm, jm = space.g.entries, space.J.entries
-    big_omega = jm.T @ gm
-    arr = _pair_pattern(gm, big_omega)
+    _, _, big_omega = structure_tensors(space)
+    arr = _pair_pattern(space.g.entries, big_omega.entries)
     return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
 
 
 def build_phi(space: HermitianSpace) -> CurvatureTensor:
     """Mixed block coupling the metric to the plane; diagonal is t^2.
 
-    phi(X,Y,Z,U) = 1/8 ( g(Y,Z) h(X,U) - g(X,Z) h(Y,U)
-                         + g(X,U) h(Y,Z) - g(Y,U) h(X,Z)
-                         + Omega(Y,Z) omega(X,U) - Omega(X,Z) omega(Y,U)
-                         + Omega(X,U) omega(Y,Z) - Omega(Y,U) omega(X,Z)
-                         - 2 Omega(X,Y) omega(Z,U) - 2 Omega(Z,U) omega(X,Y) )
+    Phi = 1/2 [P(g + h, Omega + omega) - P(g, Omega) - P(h, omega)], the
+    polarization of the quadratic pair pattern P.
     """
     gm = space.g.entries
     h, omega, big_omega = (t.entries for t in structure_tensors(space))
-    arr = 0.125 * (
-        np.einsum("jk,il->ijkl", gm, h)
-        - np.einsum("ik,jl->ijkl", gm, h)
-        + np.einsum("il,jk->ijkl", gm, h)
-        - np.einsum("jl,ik->ijkl", gm, h)
-        + np.einsum("jk,il->ijkl", big_omega, omega)
-        - np.einsum("ik,jl->ijkl", big_omega, omega)
-        + np.einsum("il,jk->ijkl", big_omega, omega)
-        - np.einsum("jl,ik->ijkl", big_omega, omega)
-        - 2.0 * np.einsum("ij,kl->ijkl", big_omega, omega)
-        - 2.0 * np.einsum("kl,ij->ijkl", big_omega, omega)
+    arr = 0.5 * (
+        _pair_pattern(gm + h, big_omega + omega)
+        - _pair_pattern(gm, big_omega)
+        - _pair_pattern(h, omega)
     )
     return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
 
 
 def build_psi(space: HermitianSpace) -> CurvatureTensor:
-    """Plane block: psi = -omega (x) omega; diagonal is t^4."""
-    _, omega, _ = structure_tensors(space)
-    w = omega.entries
-    arr = -np.einsum("ij,kl->ijkl", w, w)
+    """Plane block: psi = P(h, omega) = -omega (x) omega; diagonal is t^4."""
+    h, omega, _ = structure_tensors(space)
+    arr = _pair_pattern(h.entries, omega.entries)
     return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
 
 
@@ -237,7 +226,8 @@ def fit_coefficients(
     rhs = np.array([frobenius_inner(u, r.tensor) for u in basis])
     a, b, c = np.linalg.solve(gram, rhs)
     fit = QCHCoefficients(float(a), float(b), float(c))
-    residual = max_abs(r.tensor - combine(fit, r.space).tensor)
+    pi, phi, psi = basis
+    residual = max_abs(r.tensor - (fit.a * pi + fit.b * phi + fit.c * psi))
     return fit, residual
 
 
@@ -247,8 +237,8 @@ def product_curvature(k: float, l: float, space: HermitianSpace) -> CurvatureTen
     The complement factor contributes ``k`` times the pair pattern of the
     metric restricted to E; the plane factor contributes ``l`` times the pair
     pattern of the metric restricted to D (which on a J-invariant 2-plane is
-    the constant-curvature surface tensor).  Entrywise this equals
-    ``combine(k, -2k, l + k)``.
+    the constant-curvature surface tensor).  The E pair is (g - h, Omega - omega),
+    so by the quadratic expansion of P this equals ``combine(k, -2k, l + k)``.
     """
     if not (math.isfinite(k) and math.isfinite(l)):
         raise ValueError("factor curvatures k, l must be finite")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,13 +66,7 @@ def endo_derive(a: Tensor, t: Tensor) -> Tensor:
         raise ValueError("endo_derive needs a (1,1) tensor as the acting endomorphism")
     if a.dim != t.dim:
         raise ValueError("endomorphism dim does not match tensor dim")
-    am = a.entries
-    r, k = t.valence
-    out = np.zeros_like(t.entries)
-    for slot in range(r, r + k):
-        out -= np.moveaxis(np.tensordot(t.entries, am, axes=([slot], [0])), -1, slot)
-    if r == 1:
-        out += np.tensordot(am, t.entries, axes=([1], [0]))
+    out = _action_slab(a.entries[None, None], t.entries, t.valence[0], 0, 1)[..., 0, 0]
     return Tensor(t.dim, t.valence, out)
 
 
@@ -82,10 +77,18 @@ def curvature_operators(r: CurvatureTensor) -> np.ndarray:
     return np.einsum("aw,uvbw->uvab", ginv, r.tensor.entries)
 
 
+# Operators and symmetry report of each curvature in use.  A curvature is
+# immutable and hashes by identity, so its entry is valid until it dies.
+_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _checked_operators(r: CurvatureTensor) -> np.ndarray:
     """Curvature operators of ``r``, warning first if ``r`` fails the
-    Kahler-type symmetry check (at 1e-8 scaled)."""
-    report = check_kahler_symmetries(r, tol=_WARN_TOL)
+    Kahler-type symmetry check (at 1e-8 scaled).  Both are computed once per
+    tensor; the warning is repeated on every use."""
+    if r not in _OPERATORS:
+        _OPERATORS[r] = (curvature_operators(r), check_kahler_symmetries(r, tol=_WARN_TOL))
+    ops, report = _OPERATORS[r]
     if not report.passed:
         warnings.warn(
             "curvature input fails Kahler-type symmetries "
@@ -93,7 +96,7 @@ def _checked_operators(r: CurvatureTensor) -> np.ndarray:
             KahlerSymmetryWarning,
             stacklevel=3,
         )
-    return curvature_operators(r)
+    return ops
 
 
 def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int) -> np.ndarray:
@@ -145,7 +148,8 @@ def fused_sups(
     ``pairs``.  It returns the arrays to reduce (a defect, and a normaliser
     or guard, say), built entrywise, so their sup norms over all slabs are
     the sup norms of the full arrays.  By default the products themselves
-    are reduced.  Each distinct actor is symmetry-checked once per call.
+    are reduced.  Each actor is symmetry-checked once in its lifetime and,
+    if it fails, warns once per call.
     Raises :class:`NumericBreakdownError`, naming ``check``, when a reduced
     value is not finite.
     """
@@ -156,8 +160,8 @@ def fused_sups(
         raise ValueError("curvature dims do not match")
     ops = {}
     for actor, _ in pairs:
-        if id(actor) not in ops:
-            ops[id(actor)] = _checked_operators(actor)
+        if actor not in ops:
+            ops[actor] = _checked_operators(actor)
     # one U row of a product of a (0,4) target holds d^5 entries
     rows = max(1, SLAB_BYTES // (8 * d**5))
     sups = None
@@ -165,7 +169,7 @@ def fused_sups(
         hi = min(lo + rows, d)
         # overflow is reported below as a NumericBreakdownError
         with np.errstate(over="ignore", invalid="ignore"):
-            slabs = [_action_slab(ops[id(a)], t.tensor.entries, 0, lo, hi) for a, t in pairs]
+            slabs = [_action_slab(ops[a], t.tensor.entries, 0, lo, hi) for a, t in pairs]
             values = [float(np.max(np.abs(x))) for x in form(*slabs)]
         if not all(math.isfinite(v) for v in values):
             raise NumericBreakdownError(

@@ -57,7 +57,12 @@ class CheckResult:
 
 
 def _result(name: str, space: HermitianSpace, seed: int, defect: float,
-            tolerance: float, started: float) -> CheckResult:
+            tolerance: float, started: float, guard: float = math.inf,
+            tol: float = 0.0) -> CheckResult:
+    """The verdict of a check; a ``guard`` (a compared side's sup norm) at
+    most ``10 * tol`` makes the check vacuous, reported as an infinite defect."""
+    if guard <= 10.0 * tol:
+        defect = math.inf
     return CheckResult(
         name=name,
         n=space.n,
@@ -126,10 +131,8 @@ def verify_multiplication_table(
         defect, guard = fused_sups(
             [(pi, target), (phi, target)], lambda lhs, rhs: (lhs - 2.0 * rhs, lhs), name
         )
-        if guard <= 10.0 * tol:  # vacuous comparison: report loudly
-            defect = float("inf")
         tol_eff = tol * (1.0 + max_abs(pi.tensor) * max_abs(target.tensor))
-        results.append(_result(name, space, seed, defect, tol_eff, started))
+        results.append(_result(name, space, seed, defect, tol_eff, started, guard, tol))
     return results
 
 
@@ -146,10 +149,8 @@ def verify_eq32(space: HermitianSpace, tol: float = 1e-10, seed: int = 0) -> lis
     name = "eq32:2phi.phi=phi.pi+pi.phi"
     started = time.perf_counter()
     defect, guard = fused_sups([(phi, phi), (phi, pi), (pi, phi)], doubled, name)
-    if guard <= 10.0 * tol:
-        defect = float("inf")
     tol_eff = tol * (1.0 + max_abs(phi.tensor) ** 2)
-    results.append(_result(name, space, seed, defect, tol_eff, started))
+    results.append(_result(name, space, seed, defect, tol_eff, started, guard, tol))
 
     name = "eq32:psi.psi=0"
     started = time.perf_counter()
@@ -166,10 +167,8 @@ def verify_eq32(space: HermitianSpace, tol: float = 1e-10, seed: int = 0) -> lis
     defect, guard = fused_sups(
         [(psi, pi), (pi, psi), (phi, psi), (psi, phi)], exchanged, name
     )
-    if guard <= 10.0 * tol:
-        defect = float("inf")
     tol_eff = tol * (1.0 + max_abs(pi.tensor) * max_abs(psi.tensor))
-    results.append(_result(name, space, seed, defect, tol_eff, started))
+    results.append(_result(name, space, seed, defect, tol_eff, started, guard, tol))
     return results
 
 
@@ -188,8 +187,8 @@ def verify_theorem1(
     _check_tol(tol)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if coeff_range <= 0:
-        raise ValueError("coeff_range must be positive")
+    if not (math.isfinite(coeff_range) and coeff_range > 0):
+        raise ValueError(f"coeff_range must be finite and positive, got {coeff_range!r}")
     name = "theorem1:r.r=(a+b/2)pi.r"
     started = time.perf_counter()
     rng = np.random.default_rng(seed)

@@ -30,6 +30,7 @@ __all__ = [
     "eval_profile",
     "ab2",
     "ab2_alternate",
+    "boundary_residuals",
     "profile_report",
 ]
 
@@ -138,13 +139,20 @@ def _domain(profile: Profile, t, lo: float, hi: float):
     return arr
 
 
+def _terms(profile: Profile, t):
+    """The terms of r and of r'' at ``t``, in summation order."""
+    g0, g1, L = profile.gamma0, profile.gamma1, profile.L
+    r_terms = (profile.r0, g0 * L * t**2 / 2.0, (g1 * L - g0) * t**3 / 3.0, -g1 * t**4 / 4.0)
+    rpp_terms = (g0 * L, 2.0 * (g1 * L - g0) * t, -3.0 * g1 * t**2)
+    return r_terms, rpp_terms
+
+
 def eval_profile(profile: Profile, t):
     """Sample (r, r', r'', f, f') at ``t`` (scalar or array) in [0, L]."""
     arr = _domain(profile, t, 0.0, profile.L)
     g0, g1, L, s = profile.gamma0, profile.gamma1, profile.L, profile.s
-    r = profile.r0 + g0 * L * arr**2 / 2.0 + (g1 * L - g0) * arr**3 / 3.0 - g1 * arr**4 / 4.0
+    r, rpp = (sum(terms) for terms in _terms(profile, arr))
     rp = arr * (L - arr) * (g0 + g1 * arr)
-    rpp = g0 * L + 2.0 * (g1 * L - g0) * arr - 3.0 * g1 * arr**2
     f = 2.0 * r * rp / s
     fp = 2.0 * (rp * rp + r * rpp) / s
     if arr.ndim == 0:
@@ -190,6 +198,22 @@ def _bisect_sign_change(profile: Profile, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def boundary_residuals(profile: Profile) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Endpoint residuals ``|2 r r'' - s|`` at 0 and ``|2 r r'' + s|`` at L,
+    and the bound each must meet, ``max(1e-12, 16 eps scale)``: evaluating
+    the condition rounds in proportion to ``scale``, the sum of the absolute
+    terms of ``2 r r''`` there (about 1e4 when r(L) is about 100)."""
+    eps = float(np.finfo(float).eps)
+    checks = []
+    for t, target in ((0.0, profile.s), (profile.L, -profile.s)):
+        x = eval_profile(profile, t)
+        r_abs, rpp_abs = (sum(map(abs, terms)) for terms in _terms(profile, t))
+        scale = 2.0 * (r_abs * abs(x.r_second) + abs(x.r) * rpp_abs)
+        checks.append((abs(2.0 * x.r * x.r_second - target), max(1e-12, 16.0 * eps * scale)))
+    residuals, bounds = zip(*checks)
+    return residuals, bounds
+
+
 def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
     """Uniform-grid report: ab2 samples, bisected sign changes, and the
     endpoint condition residuals."""
@@ -209,15 +233,9 @@ def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
     if values[-1] == 0.0:
         points.append(float(grid[-1]))
 
-    left = eval_profile(profile, 0.0)
-    right = eval_profile(profile, profile.L)
-    residuals = (
-        abs(2.0 * left.r * left.r_second - profile.s),
-        abs(2.0 * right.r * right.r_second + profile.s),
-    )
     return ProfileReport(
         grid=grid,
         ab2_values=values,
         sign_change_points=tuple(points),
-        boundary_residuals=residuals,
+        boundary_residuals=boundary_residuals(profile)[0],
     )

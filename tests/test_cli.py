@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from qch import build_pi, make_space, parse_records, random_adapted_change, solve_profile, ab2
+from qch import (
+    ab2,
+    build_pi,
+    make_space,
+    parse_records,
+    random_adapted_change,
+    solve_profile,
+    verify_theorem1,
+)
 from qch.cli import main
 
 
@@ -133,3 +141,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("coeff_range", ["inf", "nan", "0"])
+def test_coeff_range_must_be_finite_and_positive(coeff_range, capsys):
+    with pytest.raises(ValueError, match="coeff_range"):
+        verify_theorem1(make_space(2), trials=1, coeff_range=float(coeff_range))
+    assert main(["verify", "theorem1", "--n", "2", "--coeff-range", coeff_range]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps, grid", [("nan", "1000"), ("inf", "1000"), ("0.6", "1000"),
+                                       ("0.45", "4")])
+def test_profile_cross_check_is_never_skipped(eps, grid, capsys):
+    # each margin leaves no grid point for the alternate-form cross-check
+    args = ["profile", "report", "--r0", "1", "--L", "1", "--k", "1", "--n", "2"]
+    assert main(args + ["--eps", eps, "--grid", grid]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_boundary_residual_bound_scales_with_rounding(capsys):
+    # r(L) is about 100 here: the right residual, 1.3e-12, is rounding
+    args = ["profile", "report", "--r0", "0.27588406258585685",
+            "--L", "17.952562351447572", "--k", "3", "--n", "2"]
+    assert main(args) == 0
+    capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from qch import (
     NoAdmissibleRootError,
     ab2,
     ab2_alternate,
+    boundary_residuals,
     eval_profile,
     profile_report,
     solve_profile,
@@ -207,3 +209,15 @@ def test_sign_change_location_is_stable_under_grid_refinement(r0, L):
     assert coarse.sign_change_points[0] == pytest.approx(
         fine.sign_change_points[0], abs=1e-9
     )
+
+
+def test_boundary_bound_is_rounding_scaled_and_still_catches_a_bad_profile():
+    p = solve_profile(0.27588406258585685, 17.952562351447572, 3, 2)
+    residuals, bounds = boundary_residuals(p)
+    assert residuals[1] > 1e-12
+    assert all(r <= b for r, b in zip(residuals, bounds))
+    assert bounds[0] == 1e-12 and bounds[1] < 1e-10
+    off = dataclasses.replace(p, gamma1=p.gamma1 + 1e-9)
+    residuals, bounds = boundary_residuals(off)
+    assert residuals[1] > bounds[1]
+    assert profile_report(p).boundary_residuals == boundary_residuals(p)[0]

@@ -20,8 +20,11 @@ from hypothesis import strategies as st
 
 import qch.derivation as derivation
 from qch import (
+    CurvatureTensor,
+    KahlerSymmetryWarning,
     NumericBreakdownError,
     QCHCoefficients,
+    Tensor,
     build_phi,
     build_pi,
     build_psi,
@@ -163,6 +166,40 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     derivation.fused_sups([(psi, pi), (pi, psi), (phi, psi), (psi, phi)])
     assert slabs == [(0, 2)] * 4 + [(2, 4)] * 4
     assert [id(r) for r in checks] == [id(psi), id(pi), id(phi)]
+
+
+def _count_checks(monkeypatch):
+    """Record every curvature that gets symmetry-checked."""
+    checks = []
+    real_check = derivation.check_kahler_symmetries
+
+    def counting_check(r, **kwargs):
+        checks.append(r)
+        return real_check(r, **kwargs)
+
+    monkeypatch.setattr(derivation, "check_kahler_symmetries", counting_check)
+    return checks
+
+
+def test_a_curvature_is_checked_once_across_calls(monkeypatch):
+    sp = make_space(2)
+    checks = _count_checks(monkeypatch)
+    verify_theorem1(sp, trials=100)
+    pi = build_pi(sp).tensor.entries
+    assert len(checks) == 101  # Pi once, and each trial's R once
+    assert sum(np.array_equal(r.tensor.entries, pi) for r in checks) == 1
+
+
+def test_a_failing_curvature_warns_on_every_use(monkeypatch):
+    sp = make_space(2)
+    arr = np.array(build_pi(sp).tensor.entries)
+    arr[0, 0, 0, 0] += 1.0
+    lopsided = CurvatureTensor(Tensor(4, (0, 4), arr), sp)
+    checks = _count_checks(monkeypatch)
+    for _ in range(3):
+        with pytest.warns(KahlerSymmetryWarning):
+            derivation.fused_sups([(lopsided, lopsided)])
+    assert checks == [lopsided]
 
 
 # -- fault injection -----------------------------------------------------------
