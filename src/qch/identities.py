@@ -92,6 +92,12 @@ def _blocks(space: HermitianSpace, seed: int, phi_noise: float):
     return pi, phi, psi
 
 
+def _doubled_rhs(lhs, rhs):
+    """``lhs - 2 rhs`` and ``lhs``, formed in place over the slabs."""
+    np.multiply(rhs, 2.0, out=rhs)
+    return np.subtract(lhs, rhs, out=rhs), lhs
+
+
 def verify_multiplication_table(
     space: HermitianSpace,
     tol: float = 1e-10,
@@ -128,9 +134,7 @@ def verify_multiplication_table(
     ]
     for name, target in double_cases:
         started = time.perf_counter()
-        defect, guard = fused_sups(
-            [(pi, target), (phi, target)], lambda lhs, rhs: (lhs - 2.0 * rhs, lhs), name
-        )
+        defect, guard = fused_sups([(pi, target), (phi, target)], _doubled_rhs, name)
         tol_eff = tol * (1.0 + max_abs(pi.tensor) * max_abs(target.tensor))
         results.append(_result(name, space, seed, defect, tol_eff, started, guard, tol))
     return results
@@ -143,8 +147,9 @@ def verify_eq32(space: HermitianSpace, tol: float = 1e-10, seed: int = 0) -> lis
     results = []
 
     def doubled(phi_phi, phi_pi, pi_phi):
-        lhs = 2.0 * phi_phi
-        return lhs - (phi_pi + pi_phi), lhs
+        lhs = np.multiply(phi_phi, 2.0, out=phi_phi)
+        rhs = np.add(phi_pi, pi_phi, out=phi_pi)
+        return np.subtract(lhs, rhs, out=rhs), lhs
 
     name = "eq32:2phi.phi=phi.pi+pi.phi"
     started = time.perf_counter()
@@ -159,8 +164,9 @@ def verify_eq32(space: HermitianSpace, tol: float = 1e-10, seed: int = 0) -> lis
     results.append(_result(name, space, seed, defect, tol_eff, started))
 
     def exchanged(psi_pi, pi_psi, phi_psi, psi_phi):
-        lhs = psi_pi + pi_psi
-        return lhs - 2.0 * (phi_psi + psi_phi), lhs
+        lhs = np.add(psi_pi, pi_psi, out=psi_pi)
+        rhs = np.multiply(np.add(phi_psi, psi_phi, out=phi_psi), 2.0, out=phi_psi)
+        return np.subtract(lhs, rhs, out=rhs), lhs
 
     name = "eq32:psi.pi+pi.psi=2(phi.psi+psi.phi)"
     started = time.perf_counter()
@@ -198,9 +204,12 @@ def verify_theorem1(
         a, b, c = rng.uniform(-coeff_range, coeff_range, size=3)
         r = a * pi + b * phi + c * psi  # combine()'s arithmetic, blocks built once
         factor = float(a + b / 2.0)
-        defect, rr = fused_sups(
-            [(r, r), (pi, r)], lambda rr, pi_r: (rr - factor * pi_r, rr), name
-        )
+
+        def defect_and_rr(rr, pi_r):
+            np.multiply(pi_r, factor, out=pi_r)
+            return np.subtract(rr, pi_r, out=pi_r), rr
+
+        defect, rr = fused_sups([(r, r), (pi, r)], defect_and_rr, name)
         worst = max(worst, defect / (1.0 + rr))
     return _result(name, space, seed, worst, tol, started)
 

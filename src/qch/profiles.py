@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .derivation import NumericBreakdownError
+
 __all__ = [
     "Profile",
     "ProfileSample",
@@ -188,6 +190,8 @@ def _bisect_sign_change(profile: Profile, lo: float, hi: float) -> float:
     flo = ab2(profile, lo)
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the spacing near a long L exceeds the tol
+            break
         fmid = ab2(profile, mid)
         if fmid == 0.0:
             return mid
@@ -216,22 +220,31 @@ def boundary_residuals(profile: Profile) -> tuple[tuple[float, float], tuple[flo
 
 def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
     """Uniform-grid report: ab2 samples, bisected sign changes, and the
-    endpoint condition residuals."""
+    endpoint condition residuals.
+
+    A zero sample is a sign change only between nonzero samples of opposite
+    signs.  Raises :class:`~qch.derivation.NumericBreakdownError` when every
+    sample is zero (ab2 underflows for huge r0)."""
     if int(grid_size) != grid_size or grid_size < 3:
         raise ValueError("grid_size must be an integer >= 3")
     grid = np.linspace(0.0, profile.L, int(grid_size))
     values = ab2(profile, grid)
 
+    # a sign change lies between consecutive nonzero samples of opposite
+    # signs: bisected when they are neighbours, else the first zero between
+    nonzero = np.flatnonzero(values)
+    if not nonzero.size:
+        raise NumericBreakdownError(
+            "numeric breakdown in profile report: every a+b/2 sample is zero"
+        )
+    negative = values[nonzero] < 0.0
     points: list[float] = []
-    for i in range(len(grid) - 1):
-        lo, hi = values[i], values[i + 1]
-        if lo == 0.0:
-            if not points or abs(points[-1] - grid[i]) > _BISECT_TOL:
-                points.append(float(grid[i]))
-        elif lo * hi < 0.0:
-            points.append(_bisect_sign_change(profile, float(grid[i]), float(grid[i + 1])))
-    if values[-1] == 0.0:
-        points.append(float(grid[-1]))
+    for c in np.flatnonzero(negative[:-1] != negative[1:]):
+        i, j = int(nonzero[c]), int(nonzero[c + 1])
+        if j == i + 1:
+            points.append(_bisect_sign_change(profile, float(grid[i]), float(grid[j])))
+        else:
+            points.append(float(grid[i + 1]))
 
     return ProfileReport(
         grid=grid,

@@ -166,3 +166,12 @@ def test_boundary_residual_bound_scales_with_rounding(capsys):
             "--L", "17.952562351447572", "--k", "3", "--n", "2"]
     assert main(args) == 0
     capsys.readouterr()
+
+
+def test_an_underflowed_profile_is_a_breakdown_not_a_thousand_sign_changes(capsys):
+    # for r0 = 1e200 every a+b/2 sample underflows to zero
+    args = ["profile", "report", "--r0", "1e200", "--L", "1", "--k", "1", "--n", "2"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "numeric breakdown in profile report" in captured.err
+    assert "sign changes" not in captured.out

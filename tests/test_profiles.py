@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qch.profiles as profiles
 from qch import (
     NoAdmissibleRootError,
+    NumericBreakdownError,
     ab2,
     ab2_alternate,
     boundary_residuals,
@@ -221,3 +223,81 @@ def test_boundary_bound_is_rounding_scaled_and_still_catches_a_bad_profile():
     residuals, bounds = boundary_residuals(off)
     assert residuals[1] > bounds[1]
     assert profile_report(p).boundary_residuals == boundary_residuals(p)[0]
+
+
+# -- zero samples and the solver's boundaries ----------------------------------
+
+
+@pytest.mark.parametrize("values, points", [
+    ([-1.0, 0.0, 1.0, 2.0, 3.0], [0.25]),  # a zero between opposite signs
+    ([-1.0, 0.0, 0.0, 1.0, 2.0], [0.25]),  # a run of zeros is one sign change
+    ([1.0, 0.0, 1.0, 0.0, -1.0], [0.75]),  # a zero that touches is none
+    ([0.0, -1.0, -2.0, -1.0, 0.0], []),  # nor are zeros at the ends
+    ([-0.0, 0.0, -0.0, 0.0, 0.0], None),  # all zero: a breakdown
+])
+def test_a_zero_sample_counts_only_between_opposite_signs(monkeypatch, values, points):
+    p = solve_profile(1.0, 1.0, 1, 2)
+    monkeypatch.setattr(profiles, "ab2", lambda profile, t: np.array(values))
+    if points is None:
+        with pytest.raises(NumericBreakdownError, match="every a\\+b/2 sample is zero"):
+            profile_report(p, grid_size=5)
+    else:
+        assert list(profile_report(p, grid_size=5).sign_change_points) == points
+
+
+def test_huge_r0_underflows_to_a_breakdown_or_keeps_its_sign_change():
+    # ab2 is about 1e-400 everywhere: zero in floating point
+    with pytest.raises(NumericBreakdownError):
+        profile_report(solve_profile(1e200, 1.0, 1, 2))
+    # ab2 is about 1e-300, so the product of neighbouring samples underflows
+    assert profile_report(solve_profile(1e150, 1.0, 1, 2)).sign_change_points == (0.5,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r0=st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
+    L=st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
+    k=st.integers(max_value=0),
+    n=st.integers(max_value=1),
+    which=st.integers(0, 3),
+)
+def test_solver_rejects_every_parameter_outside_its_domain(r0, L, k, n, which):
+    args = [1.0, 1.0, 1, 2]
+    args[which] = (r0, L, k, n)[which]
+    with pytest.raises(ValueError):
+        solve_profile(*args)
+    if which >= 2:  # non-integral indices are rejected too
+        args[which] = 2.5
+        with pytest.raises(ValueError):
+            solve_profile(*args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_r0=st.floats(-300.0, 300.0),
+    log_L=st.floats(-6.0, 6.0),
+    k=st.integers(1, 4),
+    n=st.integers(2, 10),
+)
+def test_any_admissible_input_gives_a_report_or_a_named_error(log_r0, log_L, k, n):
+    r0, L = 10.0**log_r0, 10.0**log_L
+    try:
+        p = solve_profile(r0, L, k, n)
+        rep = profile_report(p, grid_size=101)
+    except (NoAdmissibleRootError, NumericBreakdownError):
+        return
+    # r'' is a quadratic in t, so a+b/2 = -4 r''/r changes sign at most twice
+    points = rep.sign_change_points
+    assert len(points) <= 2
+    assert all(0.0 <= t <= L for t in points)
+    assert list(points) == sorted(points)
+    if rep.ab2_values[0] < 0.0 < rep.ab2_values[-1]:
+        # an odd number of changes between ends of opposite signs: exactly one
+        assert len(points) == 1
+
+
+def test_bisection_stops_at_adjacent_floats_on_a_long_interval():
+    # near L = 1.5e5 neighbouring floats are 2.9e-11 apart, above the 1e-12 tol
+    p = solve_profile(246.1193431145346, 145515.3435243633, 3, 4)
+    (t,) = profile_report(p, grid_size=101).sign_change_points
+    assert ab2(p, t * (1.0 - 1e-12)) < 0.0 < ab2(p, t * (1.0 + 1e-12))

@@ -3,7 +3,7 @@
 Every check of ``run_suite`` reduces derivation products slab by slab.  The
 dense reference below forms each full product with ``curv_dot`` and reduces
 it afterwards, exactly as the checks did before streaming; the two must give
-the same floats, whether the U range is one slab or several.
+the same floats, whether the (U, V) pairs form one slab or several.
 """
 
 import itertools
@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,8 @@ from qch import (
     verify_theorem1,
 )
 from qch.cli import main
+
+from helpers import loop_endo_derive
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TRIALS = 3
@@ -104,16 +107,21 @@ def dense_defects(n, seed, trials=TRIALS, coeff_range=5.0):
     return out
 
 
-def _rows(*bounds):
-    return list(zip(bounds, bounds[1:]))
+def _pairs(d, step):
+    """The flattened (U, V) pair ranges of slabs of ``step`` pairs at dim ``d``."""
+    return [(lo, min(lo + step, d * d)) for lo in range(0, d * d, step)]
 
 
-# the default budget (one slab up to d = 10), one that splits d = 4 into 3 + 1
-# rows and d = 6 and 8 into single rows, and one that splits d = 6 into 4 + 2
+# the default budget (one slab up to d = 6, two 32-pair slabs at d = 8), one
+# that splits d = 4 into 12 + 4 pairs, d = 6 into 2-pair slabs and d = 8 into
+# single pairs, one that splits d = 6 into 24 + 12 and d = 8 into 7-pair slabs
+# and a last single pair, and one that splits d = 6 and 8 into single pairs
+# (d = 4 into 5 + 5 + 5 + 1)
 @pytest.mark.parametrize("budget,slabs", [
-    (None, {4: _rows(0, 4), 6: _rows(0, 6), 8: _rows(0, 8)}),
-    (3 * 8 * 4**5, {4: _rows(0, 3, 4), 6: _rows(*range(7)), 8: _rows(*range(9))}),
-    (4 * 8 * 6**5, {4: _rows(0, 4), 6: _rows(0, 4, 6), 8: _rows(*range(9))}),
+    (None, {4: _pairs(4, 16), 6: _pairs(6, 36), 8: _pairs(8, 32)}),
+    (12 * 8 * 4**4, {4: _pairs(4, 12), 6: _pairs(6, 2), 8: _pairs(8, 1)}),
+    (24 * 8 * 6**4, {4: _pairs(4, 16), 6: _pairs(6, 24), 8: _pairs(8, 7)}),
+    (8 * 6**4, {4: _pairs(4, 5), 6: _pairs(6, 1), 8: _pairs(8, 1)}),
 ])
 def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     if budget is not None:
@@ -121,9 +129,9 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     real = derivation._action_slab
     seen = {}
 
-    def recording(ops, t, rk, lo, hi):
+    def recording(ops, t, rk, lo, hi, out=None, term=None):
         seen.setdefault(t.shape[0], set()).add((lo, hi))
-        return real(ops, t, rk, lo, hi)
+        return real(ops, t, rk, lo, hi, out, term)
 
     for n, seed in itertools.product((2, 3, 4), (0, 1)):
         monkeypatch.setattr(derivation, "_action_slab", recording)
@@ -133,7 +141,41 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
         fused = {r.name: r.max_defect for r in results if r.name in DERIVATION_CHECKS}
         assert fused == dense, (n, seed)
         assert all(r.passed for r in results)
-    assert {d: sorted(rows) for d, rows in seen.items()} == slabs
+    assert {d: sorted(pairs) for d, pairs in seen.items()} == slabs
+
+
+# -- every slot branch of the kernel against the loop oracle ---------------------
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("valence", [(0, 2), (1, 1), (1, 2), (1, 3)])
+def test_kernel_matches_the_loop_oracle_pair_by_pair(n, valence):
+    sp = random_adapted_change(make_space(n), 5)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    d = sp.dim
+    t = np.random.default_rng([n, *valence]).standard_normal((d,) * sum(valence))
+    ops = derivation.curvature_operators(r)
+    oracle = np.stack([loop_endo_derive(ops[u, v], t, valence[0])
+                       for u in range(d) for v in range(d)])
+    dense = curv_dot(r, Tensor(d, valence, t)).entries
+    assert dense.shape == t.shape + (d, d)
+    pair_major = np.moveaxis(dense, (-2, -1), (0, 1)).reshape((d * d,) + t.shape)
+    assert np.allclose(pair_major, oracle, rtol=0.0, atol=1e-13)
+    # ragged slabs of 5 pairs, written into the same two buffers every time
+    out, term = np.empty((5,) + t.shape), np.empty((5,) + t.shape)
+    for lo in range(0, d * d, 5):
+        hi = min(lo + 5, d * d)
+        slab = derivation._action_slab(ops, t, valence[0], lo, hi, out, term)
+        assert np.shares_memory(slab, out)
+        assert np.array_equal(slab, pair_major[lo:hi])
+
+
+def test_a_form_may_return_the_same_slab_twice(monkeypatch):
+    sp = random_adapted_change(make_space(3), 2)
+    r = combine(QCHCoefficients(1.5, 0.4, -0.9), sp)
+    dense = max_abs(curv_dot(r, r))
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 5 * 8 * 6**4)
+    assert derivation.fused_sups([(r, r)], lambda rr: (rr, rr)) == (dense, dense)
 
 
 def test_pseudosymmetry_defect_equals_the_dense_value(monkeypatch):
@@ -141,7 +183,7 @@ def test_pseudosymmetry_defect_equals_the_dense_value(monkeypatch):
     r = combine(QCHCoefficients(0.4, 1.1, -2.0), sp)
     dense = max_abs(curv_dot(r, r) - 3.0 * curv_dot(build_pi(sp), r))
     assert pseudosymmetry_defect(r, 3.0) == dense
-    monkeypatch.setattr(derivation, "SLAB_BYTES", 8 * 6**5)
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 8 * 6**4)
     assert pseudosymmetry_defect(r, 3.0) == dense
 
 
@@ -153,7 +195,7 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     real_check = derivation.check_kahler_symmetries
 
     def counting_slab(*args):
-        slabs.append(args[3:])
+        slabs.append(args[3:5])
         return real_slab(*args)
 
     def counting_check(r, **kwargs):
@@ -162,9 +204,9 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
 
     monkeypatch.setattr(derivation, "_action_slab", counting_slab)
     monkeypatch.setattr(derivation, "check_kahler_symmetries", counting_check)
-    monkeypatch.setattr(derivation, "SLAB_BYTES", 2 * 8 * 4**5)
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 8 * 8 * 4**4)
     derivation.fused_sups([(psi, pi), (pi, psi), (phi, psi), (psi, phi)])
-    assert slabs == [(0, 2)] * 4 + [(2, 4)] * 4
+    assert slabs == [(0, 8)] * 4 + [(8, 16)] * 4
     assert [id(r) for r in checks] == [id(psi), id(pi), id(phi)]
 
 
@@ -302,12 +344,43 @@ def test_cli_exit_codes_for_tolerance_and_breakdown(capsys):
 # -- memory ----------------------------------------------------------------------
 
 
-def test_theorem1_at_n8_stays_under_300_mb():
-    # dense (0,6) products put this run at about 0.7 GB; streamed, about 0.12 GB
+@pytest.mark.parametrize("pairs_per_slab", [32, 8, 1])
+def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
+    # the product buffers and one term buffer are the only slab-sized arrays,
+    # whether d = 8 runs as 2, 8 or 64 slabs
+    sp = random_adapted_change(make_space(4), 3)
+    pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+
+    def theorem1_form(rr, pi_r):
+        np.multiply(pi_r, 2.0, out=pi_r)
+        return np.subtract(rr, pi_r, out=pi_r), rr
+
+    d = sp.dim
+    slab = pairs_per_slab * 8 * d**4
+    monkeypatch.setattr(derivation, "SLAB_BYTES", slab)
+    for pairs, form in [
+        ([(r, r), (pi, r)], theorem1_form),
+        ([(psi, pi), (pi, psi), (phi, psi), (psi, phi)], derivation._identity_form),
+    ]:
+        operators = {a: derivation._checked_operators(a) for a, _ in pairs}
+        tracemalloc.start()
+        try:
+            derivation.fused_sups(pairs, form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ops_bytes = sum(ops.nbytes for ops in operators.values())
+        # a per-slab copy of a slab (np.abs without out=, say) breaks this bound
+        assert peak <= (len(pairs) + 1) * slab + ops_bytes, (len(pairs), peak)
+
+
+def _peak_rss_mb(argv):
+    """Exit code and peak RSS in MB of ``qch`` run with ``argv`` in a fresh process."""
     code = (
         "import resource, sys\n"
         "from qch.cli import main\n"
-        "code = main(['verify', 'theorem1', '--n', '8', '--trials', '1'])\n"
+        f"code = main({argv!r})\n"
         "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     proc = subprocess.run(
@@ -316,5 +389,18 @@ def test_theorem1_at_n8_stays_under_300_mb():
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     exit_code, peak_kb = (int(x) for x in proc.stdout.split()[-2:])
+    return exit_code, peak_kb / 1024
+
+
+def test_theorem1_at_n10_stays_under_100_mb():
+    # d = 20 runs one pair per slab, about 52 MB
+    exit_code, peak_mb = _peak_rss_mb(["verify", "theorem1", "--n", "10", "--trials", "1"])
     assert exit_code == 0
-    assert peak_kb < 300 * 1024, f"peak RSS {peak_kb / 1024:.0f} MB"
+    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_theorem1_at_n8_stays_under_300_mb():
+    # dense (0,6) products put this run at about 0.7 GB; streamed, about 0.12 GB
+    exit_code, peak_mb = _peak_rss_mb(["verify", "theorem1", "--n", "8", "--trials", "1"])
+    assert exit_code == 0
+    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
