@@ -90,7 +90,8 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
         raise ValueError("factor curvature index k must be an integer >= 1")
     if int(n) != n or n < 2:
         raise ValueError("complex dimension n must be an integer >= 2")
-    k, n = int(k), int(n)
+    # Python floats: an overflow below gives inf, where numpy scalars would warn
+    r0, L, k, n = float(r0), float(L), int(k), int(n)
 
     s = 2.0 * k / n
     g0 = s / (2.0 * r0 * L)
@@ -131,7 +132,7 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
         g1 -= residual(g1) / slope
     if g0 + g1 * L < 0.0:  # polish must not cross the admissibility line
         g1 = -g0 / L
-    return Profile(r0=float(r0), L=float(L), s=s, gamma0=g0, gamma1=float(g1), k=k, n=n)
+    return Profile(r0=r0, L=L, s=s, gamma0=g0, gamma1=float(g1), k=k, n=n)
 
 
 def _domain(profile: Profile, t, lo: float, hi: float):
@@ -162,11 +163,28 @@ def eval_profile(profile: Profile, t):
     return ProfileSample(r, rp, rpp, f, fp)
 
 
+def _finite(name: str, out: np.ndarray):
+    """``out`` as a float or an array; an overflow is a named breakdown."""
+    if out.ndim == 0:  # math.isfinite: np.isfinite costs 7 us on a 0-d array
+        out = float(out)
+        finite = math.isfinite(out)
+    else:
+        finite = np.isfinite(out).all()
+    if not finite:
+        raise NumericBreakdownError(f"numeric breakdown in {name}: an a+b/2 value is not finite")
+    return out
+
+
 def ab2(profile: Profile, t):
-    """The curvature combination a + b/2 along the profile: -4 r''/r."""
+    """The curvature combination a + b/2 along the profile: -4 r''/r.
+
+    Raises :class:`~qch.derivation.NumericBreakdownError` when a value
+    overflows (near 0 it is about -2 s / r0**2, past the float range for
+    r0 below about 1e-154)."""
     sample = eval_profile(profile, t)
-    out = -4.0 * np.asarray(sample.r_second) / np.asarray(sample.r)
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):
+        out = -4.0 * np.asarray(sample.r_second) / np.asarray(sample.r)
+    return _finite("ab2", out)
 
 
 def ab2_alternate(profile: Profile, t, eps: float | None = None):
@@ -174,6 +192,8 @@ def ab2_alternate(profile: Profile, t, eps: float | None = None):
 
     Valid only away from the endpoints, where f vanishes; ``eps`` is the
     exclusion margin (default L * 1e-3) and out-of-margin input raises.
+    Raises :class:`~qch.derivation.NumericBreakdownError` when a value
+    overflows (for tiny r0).
     """
     if eps is None:
         eps = profile.L * 1e-3
@@ -182,8 +202,9 @@ def ab2_alternate(profile: Profile, t, eps: float | None = None):
     arr = _domain(profile, t, eps, profile.L - eps)
     sample = eval_profile(profile, arr)
     r, rp, f, fp = (np.asarray(v) for v in (sample.r, sample.r_prime, sample.f, sample.f_prime))
-    out = 4.0 * ((rp / r) ** 2 - fp * rp / (r * f))
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = 4.0 * ((rp / r) ** 2 - fp * rp / (r * f))
+    return _finite("ab2_alternate", out)
 
 
 def _bisect_sign_change(profile: Profile, lo: float, hi: float) -> float:
@@ -224,7 +245,7 @@ def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
 
     A zero sample is a sign change only between nonzero samples of opposite
     signs.  Raises :class:`~qch.derivation.NumericBreakdownError` when every
-    sample is zero (ab2 underflows for huge r0)."""
+    sample is zero (ab2 underflows for huge r0) or one overflows (tiny r0)."""
     if int(grid_size) != grid_size or grid_size < 3:
         raise ValueError("grid_size must be an integer >= 3")
     grid = np.linspace(0.0, profile.L, int(grid_size))

@@ -175,3 +175,13 @@ def test_an_underflowed_profile_is_a_breakdown_not_a_thousand_sign_changes(capsy
     captured = capsys.readouterr()
     assert "numeric breakdown in profile report" in captured.err
     assert "sign changes" not in captured.out
+
+
+@pytest.mark.parametrize("r0, L, where", [
+    ("3.1622776601683793e-155", "1", "in ab2:"),  # a+b/2 itself overflows at t = 0
+    ("6.902873257532779e-103", "2891.641447751179", "in ab2_alternate:"),
+])
+def test_an_overflowed_profile_is_a_named_breakdown(capsys, r0, L, where):
+    args = ["profile", "report", "--r0", r0, "--L", L, "--k", "1", "--n", "4"]
+    assert main(args) == 1
+    assert where in capsys.readouterr().err

@@ -253,6 +253,32 @@ def test_huge_r0_underflows_to_a_breakdown_or_keeps_its_sign_change():
     assert profile_report(solve_profile(1e150, 1.0, 1, 2)).sign_change_points == (0.5,)
 
 
+def test_tiny_r0_overflows_to_a_breakdown():
+    # a+b/2 is about -2 s / r0**2 = -1.3e309 at t = 0: past the float range
+    p = solve_profile(10.0**-154.5, 1.0, 1, 3)
+    with pytest.raises(NumericBreakdownError, match="in ab2"):
+        profile_report(p, grid_size=101)
+    with pytest.raises(NumericBreakdownError, match="in ab2"):
+        ab2(p, 0.0)
+    assert ab2(p, 0.5) > 0.0  # finite values away from the overflow are kept
+    # the first form squares r'/r and overflows inside the margin too
+    p = solve_profile(6.902873257532779e-103, 2891.641447751179, 1, 4)
+    inner = np.linspace(p.L * 1e-3, p.L * (1.0 - 1e-3), 11)
+    assert np.all(np.isfinite(ab2(p, inner)))
+    with pytest.raises(NumericBreakdownError, match="in ab2_alternate"):
+        ab2_alternate(p, inner)
+
+
+def test_numpy_scalar_parameters_solve_like_python_floats():
+    for r0 in (1.0, 1e300):
+        assert solve_profile(np.float64(r0), np.float64(1.0), np.int64(1), np.int64(2)) == (
+            solve_profile(r0, 1.0, 1, 2)
+        )
+    # g0**2 overflows: a named error, not a numpy overflow warning
+    with pytest.raises(NoAdmissibleRootError):
+        solve_profile(np.float64(1e-300), np.float64(1.0), 1, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     r0=st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
