@@ -4,8 +4,9 @@ Reports are deterministic: identical flags and seed reproduce byte-identical
 JSON (the timestamp is the only run-dependent field, and ``--no-timestamp``
 drops it).  Every numeric scalar is serialized as a decimal string with 17
 significant digits so values round-trip exactly.  Exit status: 0 when every
-check passes, 1 on a failed check, a numeric breakdown or an unsolvable
-profile, 2 on usage errors.
+check passes, 1 on a failed check, a numeric breakdown (including a profile
+boundary bound that is not below s) or an unsolvable profile, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .identities import (
 from .profiles import (
     NoAdmissibleRootError,
     Profile,
-    ab2,
+    _endpoint_checks,
+    _require_bounds_below_s,
     ab2_alternate,
-    boundary_residuals,
     eval_profile,
     profile_report,
     solve_profile,
@@ -204,7 +205,7 @@ def _run_profile(args) -> int:
 
     p = solve_profile(args.r0, args.L, args.k, args.n)
     eps = args.eps if args.eps is not None else p.L * 1e-3
-    residuals, bounds = boundary_residuals(p)
+    residuals, bounds = _endpoint_checks(p)
     passed = all(r <= b for r, b in zip(residuals, bounds))
 
     result = _profile_core_dict(p, residuals)
@@ -215,23 +216,29 @@ def _run_profile(args) -> int:
     if args.action == "report":
         rep = profile_report(p, grid_size=args.grid)
         passed = passed and len(rep.sign_change_points) >= 1
+        # each table value is formatted once, for the JSON and the CSV alike
+        grid_txt = [format(t, ".17g") for t in rep.grid.tolist()]
+        ab2_txt = [format(v, ".17g") for v in rep.ab2_values.tolist()]
         result["sign_change_points"] = [_fmt(t) for t in rep.sign_change_points]
-        result["grid"] = [_fmt(t) for t in rep.grid]
-        result["ab2_values"] = [_fmt(v) for v in rep.ab2_values]
+        result["grid"] = grid_txt
+        result["ab2_values"] = ab2_txt
         # cross-check the two algebraically equal forms away from the endpoints
-        inner = rep.grid[(rep.grid >= eps) & (rep.grid <= p.L - eps)]
-        if not inner.size:
+        inside = (rep.grid >= eps) & (rep.grid <= p.L - eps)
+        if not inside.any():
             raise ValueError("--eps leaves no grid point for the alternate-form cross-check")
-        form_gap = float(np.max(np.abs(ab2(p, inner) - ab2_alternate(p, inner, eps=eps))))
+        alternate = ab2_alternate(p, rep.grid[inside], eps=eps)
+        form_gap = float(np.max(np.abs(rep.ab2_values[inside] - alternate)))
         result["alternate_max_diff"] = _fmt(form_gap)
         passed = passed and form_gap <= 1e-10
+    # a bound not below s is a breakdown; checked after the report, so that the
+    # report's own breakdowns (in ab2, ab2_alternate) are the ones named
+    _require_bounds_below_s(p, bounds)
+    if args.action == "report":
         pts = ", ".join(f"{t:.12g}" for t in rep.sign_change_points)
         print(f"sign changes of a+b/2 at: {pts}")
         if args.csv_path:
             with open(args.csv_path, "w") as fh:
-                fh.write("t,ab2\n")
-                for t, v in zip(rep.grid, rep.ab2_values):
-                    fh.write(f"{_fmt(t)},{_fmt(v)}\n")
+                fh.write("t,ab2\n" + "".join(f"{t},{v}\n" for t, v in zip(grid_txt, ab2_txt)))
 
     report = {
         "schema_version": SCHEMA_VERSION,

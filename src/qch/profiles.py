@@ -137,7 +137,7 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
 
 def _domain(profile: Profile, t, lo: float, hi: float):
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < lo) or np.any(arr > hi):
+    if not ((arr >= lo).all() and (arr <= hi).all()):  # NaN fails both
         raise ValueError(f"t must lie in [{lo}, {hi}] for this profile")
     return arr
 
@@ -178,12 +178,18 @@ def _finite(name: str, out: np.ndarray):
 def ab2(profile: Profile, t):
     """The curvature combination a + b/2 along the profile: -4 r''/r.
 
+    Evaluates r and r'' only, with the same terms as :func:`eval_profile`, so
+    the values equal ``-4 r_second / r`` of its sample bit for bit.  The terms
+    stay on numpy arrays (0-d for a scalar ``t``): numpy's ``pow`` and Python's
+    float ``**`` differ in the last bit on some inputs.
+
     Raises :class:`~qch.derivation.NumericBreakdownError` when a value
     overflows (near 0 it is about -2 s / r0**2, past the float range for
     r0 below about 1e-154)."""
-    sample = eval_profile(profile, t)
+    arr = _domain(profile, t, 0.0, profile.L)
+    r, rpp = (sum(terms) for terms in _terms(profile, arr))
     with np.errstate(over="ignore"):
-        out = -4.0 * np.asarray(sample.r_second) / np.asarray(sample.r)
+        out = -4.0 * rpp / r
     return _finite("ab2", out)
 
 
@@ -223,11 +229,9 @@ def _bisect_sign_change(profile: Profile, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def boundary_residuals(profile: Profile) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Endpoint residuals ``|2 r r'' - s|`` at 0 and ``|2 r r'' + s|`` at L,
-    and the bound each must meet, ``max(1e-12, 16 eps scale)``: evaluating
-    the condition rounds in proportion to ``scale``, the sum of the absolute
-    terms of ``2 r r''`` there (about 1e4 when r(L) is about 100)."""
+def _endpoint_checks(profile: Profile) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The endpoint residuals and their bounds, as :func:`boundary_residuals`
+    gives them, without the check that each bound is below s."""
     eps = float(np.finfo(float).eps)
     checks = []
     for t, target in ((0.0, profile.s), (profile.L, -profile.s)):
@@ -239,9 +243,33 @@ def boundary_residuals(profile: Profile) -> tuple[tuple[float, float], tuple[flo
     return residuals, bounds
 
 
+def _require_bounds_below_s(profile: Profile, bounds: tuple[float, float]) -> None:
+    for t, bound in zip((0.0, profile.L), bounds):
+        if not bound < profile.s:
+            raise NumericBreakdownError(
+                f"numeric breakdown in boundary residuals: the rounding bound {bound:.3e} "
+                f"at t = {t!r} is not below s = {profile.s!r}"
+            )
+
+
+def boundary_residuals(profile: Profile) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Endpoint residuals ``|2 r r'' - s|`` at 0 and ``|2 r r'' + s|`` at L,
+    and the bound each must meet, ``max(1e-12, 16 eps scale)``: evaluating
+    the condition rounds in proportion to ``scale``, the sum of the absolute
+    terms of ``2 r r''`` there (about 1e4 when r(L) is about 100).
+
+    Raises :class:`~qch.derivation.NumericBreakdownError` when a bound is not
+    below s: the terms then cancel so far that a residual of s, an endpoint
+    condition that fails outright, would pass (r0 = 1e-9, L = 1 gives 1184)."""
+    residuals, bounds = _endpoint_checks(profile)
+    _require_bounds_below_s(profile, bounds)
+    return residuals, bounds
+
+
 def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
     """Uniform-grid report: ab2 samples, bisected sign changes, and the
-    endpoint condition residuals.
+    endpoint condition residuals (their bounds, and the breakdown for a bound
+    not below s, come from :func:`boundary_residuals`).
 
     A zero sample is a sign change only between nonzero samples of opposite
     signs.  Raises :class:`~qch.derivation.NumericBreakdownError` when every
@@ -271,5 +299,5 @@ def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
         grid=grid,
         ab2_values=values,
         sign_change_points=tuple(points),
-        boundary_residuals=boundary_residuals(profile)[0],
+        boundary_residuals=_endpoint_checks(profile)[0],
     )

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from qch import (
     build_pi,
     make_space,
     parse_records,
+    profile_report,
     random_adapted_change,
     solve_profile,
     verify_theorem1,
 )
 from qch.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_verify_exit_codes(capsys):
@@ -116,9 +120,22 @@ def test_csv_table(tmp_path, capsys):
     assert lines[0] == "t,ab2"
     assert len(lines) == 12
     p = solve_profile(1.0, 2.0, 1, 2)
+    rep = profile_report(p, grid_size=11)
+    assert lines[1:] == [f"{format(float(t), '.17g')},{format(float(v), '.17g')}"
+                         for t, v in zip(rep.grid, rep.ab2_values)]
     for line in lines[1:]:
         t_str, v_str = line.split(",")
-        assert float(v_str) == pytest.approx(ab2(p, float(t_str)), abs=1e-14)
+        assert float(v_str) == ab2(p, float(t_str))
+
+
+def test_profile_report_files_match_the_golden_bytes(tmp_path, capsys):
+    jpath, cpath = tmp_path / "p.json", tmp_path / "p.csv"
+    assert main(["profile", "report", "--r0", "1", "--L", "3.141592653589793",
+                 "--k", "2", "--n", "4", "--grid", "64", "--no-timestamp",
+                 "--json", str(jpath), "--csv", str(cpath)]) == 0
+    capsys.readouterr()
+    assert jpath.read_bytes() == (DATA / "profile_report.json").read_bytes()
+    assert cpath.read_bytes() == (DATA / "profile_report.csv").read_bytes()
 
 
 def test_dump_round_trips_the_stage(tmp_path, capsys):
@@ -185,3 +202,16 @@ def test_an_overflowed_profile_is_a_named_breakdown(capsys, r0, L, where):
     args = ["profile", "report", "--r0", r0, "--L", L, "--k", "1", "--n", "4"]
     assert main(args) == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["solve", "report"])
+def test_a_vacuous_boundary_bound_is_a_named_breakdown(action, tmp_path, capsys):
+    # the terms of 2 r r'' at L cancel from about 1e9: the rounding bound,
+    # 1184, exceeds s = 1, and the right residual is s itself
+    args = ["profile", action, "--r0", "1e-9", "--L", "1", "--k", "1", "--n", "2"]
+    assert main(args + ["--json", str(tmp_path / "p.json"), "--csv", str(tmp_path / "p.csv")]) == 1
+    captured = capsys.readouterr()
+    assert "numeric breakdown in boundary residuals" in captured.err
+    assert "right=1.000e+00" in captured.out
+    assert "sign changes" not in captured.out
+    assert list(tmp_path.iterdir()) == []

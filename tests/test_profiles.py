@@ -170,13 +170,12 @@ def test_solver_rejects_bad_parameters():
 def test_eval_rejects_out_of_domain_input():
     p = solve_profile(1.0, 2.0, 1, 2)
     with pytest.raises(ValueError):
-        eval_profile(p, -0.1)
-    with pytest.raises(ValueError):
-        eval_profile(p, 2.1)
-    with pytest.raises(ValueError):
-        eval_profile(p, np.array([0.5, 2.5]))
-    with pytest.raises(ValueError):
         profile_report(p, grid_size=2)
+    # NaN lies in no interval: a usage error, not an all-NaN sample or a breakdown
+    for evaluate in (eval_profile, ab2, ab2_alternate):
+        for bad in (-0.1, 2.1, math.nan, np.array([0.5, 2.5]), np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="t must lie in"):
+                evaluate(p, bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,6 +222,38 @@ def test_boundary_bound_is_rounding_scaled_and_still_catches_a_bad_profile():
     residuals, bounds = boundary_residuals(off)
     assert residuals[1] > bounds[1]
     assert profile_report(p).boundary_residuals == boundary_residuals(p)[0]
+
+
+def test_a_bound_not_below_s_is_a_breakdown():
+    # r(1) is about 1e8 and the terms of r'' about 1e9: they cancel, so the
+    # rounding bound at L (1184) exceeds s = 1 and would pass a residual of s
+    p = solve_profile(1e-9, 1.0, 1, 2)
+    x = eval_profile(p, p.L)
+    assert abs(2.0 * x.r * x.r_second + p.s) == p.s  # the right condition fails outright
+    with pytest.raises(NumericBreakdownError, match="in boundary residuals"):
+        boundary_residuals(p)
+    # the report gives residuals only; its verdict is boundary_residuals'
+    assert profile_report(p).boundary_residuals[1] == p.s
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r0=st.floats(0.25, 4.0),
+    L=st.floats(0.5, 20.0),
+    k=st.integers(1, 3),
+    n=st.integers(2, 8),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_ab2_is_minus_four_r_second_over_r_bit_for_bit(r0, L, k, n, fractions):
+    p = solve_profile(r0, L, k, n)
+    ts = np.minimum(np.array(fractions) * p.L, p.L)
+    s = eval_profile(p, ts)
+    values = ab2(p, ts)
+    assert np.array_equal(values, -4.0 * s.r_second / s.r)
+    for i, t in enumerate(ts.tolist()):
+        one = eval_profile(p, t)
+        assert ab2(p, t) == -4.0 * one.r_second / one.r
+        assert ab2(p, t) == values[i]
 
 
 # -- zero samples and the solver's boundaries ----------------------------------
