@@ -29,6 +29,7 @@ from .derivation import (
     pseudosymmetry_defect,
 )
 from .identities import (
+    SUITES,
     CheckResult,
     run_suite,
     verify_eq32,
@@ -59,11 +60,9 @@ from .tensors import (
     Tensor,
     frobenius_inner,
     from_text,
-    lower_first,
     max_abs,
     parse_records,
     pullback,
-    raise_first,
     to_text,
 )
 
@@ -80,6 +79,7 @@ __all__ = [
     "ProfileReport",
     "ProfileSample",
     "QCHCoefficients",
+    "SUITES",
     "SymmetryReport",
     "Tensor",
     "ab2",
@@ -99,7 +99,6 @@ __all__ = [
     "fused_sups",
     "from_text",
     "hol_sect",
-    "lower_first",
     "make_space",
     "max_abs",
     "parse_records",
@@ -108,7 +107,6 @@ __all__ = [
     "project_D",
     "pseudosymmetry_defect",
     "pullback",
-    "raise_first",
     "random_adapted_change",
     "run_suite",
     "solve_profile",

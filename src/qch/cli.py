@@ -3,10 +3,13 @@
 Reports are deterministic: identical flags and seed reproduce byte-identical
 JSON (the timestamp is the only run-dependent field, and ``--no-timestamp``
 drops it).  Every numeric scalar is serialized as a decimal string with 17
-significant digits so values round-trip exactly.  Exit status: 0 when every
+significant digits so values round-trip exactly.  Every ``verify`` suite runs
+through :func:`~qch.identities.run_suite`, which validates ``--tol``,
+``--trials`` and ``--coeff-range`` for every suite.  Exit status: 0 when every
 check passes, 1 on a failed check, a numeric breakdown (including a profile
 boundary bound that is not below s) or an unsolvable profile, 2 on usage
-errors.
+errors, among them a ``--json``, ``--csv`` or ``--dump`` path that is a
+directory or lies in no existing directory (checked before any work).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -21,14 +25,7 @@ import numpy as np
 
 from .curvature import build_phi, build_pi, build_psi
 from .derivation import NumericBreakdownError
-from .identities import (
-    CheckResult,
-    run_suite,
-    verify_eq32,
-    verify_multiplication_table,
-    verify_product_route,
-    verify_theorem1,
-)
+from .identities import SUITES, CheckResult, run_suite
 from .profiles import (
     NoAdmissibleRootError,
     Profile,
@@ -60,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run an identity verification suite")
     verify.add_argument(
-        "suite", choices=["table", "eq32", "theorem1", "product", "all"],
+        "suite", choices=SUITES,
         help="which checks to run",
     )
     verify.add_argument("--n", type=int, default=3, help="complex dimension (default 3)")
@@ -106,6 +103,15 @@ def _check_dict(c: CheckResult) -> dict:
     }
 
 
+def _check_output_paths(args) -> None:
+    """Each ``--json``, ``--csv`` and ``--dump`` path must name a file in an
+    existing directory; checked before any work, without creating the file."""
+    for flag in ("json", "csv", "dump"):
+        path = getattr(args, f"{flag}_path", None)
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ValueError(f"--{flag} {path!r} is not a file in an existing directory")
+
+
 def _emit_report(report: dict, json_path: str | None, no_timestamp: bool) -> None:
     if not no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -134,28 +140,8 @@ def _dump_tensors(path: str, n: int, seed: int) -> None:
 
 
 def _run_verify(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    if not (math.isfinite(args.coeff_range) and args.coeff_range > 0):
-        raise ValueError("--coeff-range must be finite and positive")
-
-    if args.suite == "all":
-        results = run_suite([args.n], [args.seed], tol=args.tol,
-                            trials=args.trials, coeff_range=args.coeff_range)
-    else:
-        space = random_adapted_change(make_space(args.n), args.seed)
-        if args.suite == "table":
-            results = verify_multiplication_table(space, tol=args.tol, seed=args.seed)
-        elif args.suite == "eq32":
-            results = verify_eq32(space, tol=args.tol, seed=args.seed)
-        elif args.suite == "theorem1":
-            results = [verify_theorem1(space, trials=args.trials,
-                                       coeff_range=args.coeff_range,
-                                       tol=args.tol, seed=args.seed)]
-        else:  # product
-            rng = np.random.default_rng([args.seed, args.n])
-            k, l = (float(x) for x in rng.uniform(-2.0, 2.0, size=2))
-            results = verify_product_route(space, k, l, tol=args.tol, seed=args.seed)
+    results = run_suite([args.n], [args.seed], tol=args.tol, trials=args.trials,
+                        coeff_range=args.coeff_range, suite=args.suite)
 
     if args.dump_path:
         _dump_tensors(args.dump_path, args.n, args.seed)
@@ -205,16 +191,18 @@ def _run_profile(args) -> int:
 
     p = solve_profile(args.r0, args.L, args.k, args.n)
     eps = args.eps if args.eps is not None else p.L * 1e-3
-    residuals, bounds = _endpoint_checks(p)
-    passed = all(r <= b for r, b in zip(residuals, bounds))
-
-    result = _profile_core_dict(p, residuals)
     print(f"profile r0={p.r0} L={p.L} k={p.k} n={p.n}: s={p.s} "
           f"gamma0={p.gamma0:.12g} gamma1={p.gamma1:.12g}")
+    if args.action == "report":  # the report carries the endpoint checks
+        rep = profile_report(p, grid_size=args.grid)
+        residuals, bounds = rep.boundary_residuals, rep.boundary_bounds
+    else:
+        residuals, bounds = _endpoint_checks(p)
+    passed = all(r <= b for r, b in zip(residuals, bounds))
+    result = _profile_core_dict(p, residuals)
     print(f"boundary residuals: left={residuals[0]:.3e} right={residuals[1]:.3e}")
 
     if args.action == "report":
-        rep = profile_report(p, grid_size=args.grid)
         passed = passed and len(rep.sign_change_points) >= 1
         # each table value is formatted once, for the JSON and the CSV alike
         grid_txt = [format(t, ".17g") for t in rep.grid.tolist()]
@@ -266,6 +254,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
+        _check_output_paths(args)
         if args.command == "verify":
             return _run_verify(args)
         return _run_profile(args)

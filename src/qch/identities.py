@@ -42,7 +42,10 @@ __all__ = [
     "verify_theorem1",
     "verify_product_route",
     "run_suite",
+    "SUITES",
 ]
+
+SUITES = ("table", "eq32", "theorem1", "product", "all")
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,13 @@ def _result(name: str, space: HermitianSpace, seed: int, defect: float,
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
+def _check_draws(trials: int, coeff_range: float) -> None:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not (math.isfinite(coeff_range) and coeff_range > 0):
+        raise ValueError(f"coeff_range must be finite and positive, got {coeff_range!r}")
 
 
 def _blocks(space: HermitianSpace, seed: int, phi_noise: float):
@@ -191,10 +201,7 @@ def verify_theorem1(
     ``max_abs(R.R - f Pi.R) / (1 + max_abs(R.R))`` over all trials.
     """
     _check_tol(tol)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not (math.isfinite(coeff_range) and coeff_range > 0):
-        raise ValueError(f"coeff_range must be finite and positive, got {coeff_range!r}")
+    _check_draws(trials, coeff_range)
     name = "theorem1:r.r=(a+b/2)pi.r"
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -279,24 +286,35 @@ def run_suite(
     trials: int = 100,
     coeff_range: float = 5.0,
     phi_noise: float = 0.0,
+    suite: str = "all",
 ) -> list[CheckResult]:
-    """Every verifier over the cartesian product of dimensions and seeds.
+    """One suite of verifiers over the cartesian product of dimensions and seeds.
 
-    For each pair the stage is a seeded random adapted frame, so the suite
-    also exercises basis independence; the product-route factor curvatures
-    are drawn from the same seeded stream.  An empty ``n_list`` yields an
-    empty report.
+    ``suite`` is one of :data:`SUITES`: ``table``, ``eq32``, ``theorem1`` or
+    ``product`` runs that verifier alone, and ``all`` runs the four in that
+    order.  For each pair the stage is a seeded random adapted frame, so the
+    suite also exercises basis independence; the product-route factor
+    curvatures are drawn from the same seeded stream.  ``tol``, ``trials`` and
+    ``coeff_range`` are validated before any work, whatever the suite.  An
+    empty ``n_list`` yields an empty report.
     """
+    if suite not in SUITES:
+        raise ValueError(f"suite must be one of {', '.join(SUITES)}, got {suite!r}")
     _check_tol(tol)
+    _check_draws(trials, coeff_range)
     results: list[CheckResult] = []
     seeds = list(seeds)
     for n in n_list:
         for seed in seeds:
             space = random_adapted_change(make_space(n), seed)
-            rng = np.random.default_rng([seed, n])
-            k, l = (float(x) for x in rng.uniform(-2.0, 2.0, size=2))
-            results += verify_multiplication_table(space, tol, seed, phi_noise)
-            results += verify_eq32(space, tol, seed)
-            results.append(verify_theorem1(space, trials, coeff_range, tol, seed))
-            results += verify_product_route(space, k, l, tol, seed)
+            if suite in ("table", "all"):
+                results += verify_multiplication_table(space, tol, seed, phi_noise)
+            if suite in ("eq32", "all"):
+                results += verify_eq32(space, tol, seed)
+            if suite in ("theorem1", "all"):
+                results.append(verify_theorem1(space, trials, coeff_range, tol, seed))
+            if suite in ("product", "all"):
+                rng = np.random.default_rng([seed, n])
+                k, l = (float(x) for x in rng.uniform(-2.0, 2.0, size=2))
+                results += verify_product_route(space, k, l, tol, seed)
     return results

@@ -72,6 +72,7 @@ class ProfileReport:
     ab2_values: np.ndarray
     sign_change_points: tuple[float, ...]
     boundary_residuals: tuple[float, float]
+    boundary_bounds: tuple[float, float]
 
 
 def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
@@ -268,8 +269,8 @@ def boundary_residuals(profile: Profile) -> tuple[tuple[float, float], tuple[flo
 
 def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
     """Uniform-grid report: ab2 samples, bisected sign changes, and the
-    endpoint condition residuals (their bounds, and the breakdown for a bound
-    not below s, come from :func:`boundary_residuals`).
+    endpoint condition residuals with their bounds, as :func:`boundary_residuals`
+    gives them (the breakdown for a bound not below s is left to the caller).
 
     A zero sample is a sign change only between nonzero samples of opposite
     signs.  Raises :class:`~qch.derivation.NumericBreakdownError` when every
@@ -295,9 +296,11 @@ def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
         else:
             points.append(float(grid[i + 1]))
 
+    residuals, bounds = _endpoint_checks(profile)
     return ProfileReport(
         grid=grid,
         ab2_values=values,
         sign_change_points=tuple(points),
-        boundary_residuals=_endpoint_checks(profile)[0],
+        boundary_residuals=residuals,
+        boundary_bounds=bounds,
     )

@@ -19,8 +19,6 @@ __all__ = [
     "Tensor",
     "frobenius_inner",
     "max_abs",
-    "raise_first",
-    "lower_first",
     "pullback",
     "to_text",
     "from_text",
@@ -115,51 +113,6 @@ def frobenius_inner(s: Tensor, t: Tensor) -> float:
 def max_abs(t: Tensor) -> float:
     """Largest absolute entry (the sup norm on components)."""
     return float(np.max(np.abs(t.entries)))
-
-
-def _metric_inverse(g: Tensor) -> np.ndarray:
-    if g.valence != (0, 2):
-        raise ValueError("metric must be a (0,2) tensor")
-    gm = g.entries
-    if not np.allclose(gm, gm.T, atol=1e-12):
-        raise ValueError("metric must be symmetric")
-    try:
-        np.linalg.cholesky(gm)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("metric must be positive-definite (and in particular nonsingular)") from exc
-    return np.linalg.inv(gm)
-
-
-def raise_first(t: Tensor, g: Tensor) -> Tensor:
-    """Trade the last covariant slot of a (0,k) tensor for a vector output.
-
-    The result S is the unique (1, k-1) tensor with
-    ``t(X_1, ..., X_k) == g(S(X_1, ..., X_{k-1}), X_k)``.  The output slot is
-    stored as the leading index, so ``raise_first(g, g)`` is the identity map
-    and raising a 2-form recovers the endomorphism it pairs with.
-    """
-    r, k = t.valence
-    if r != 0 or k < 1:
-        raise ValueError("raise_first needs a (0,k) tensor with k >= 1")
-    if g.dim != t.dim:
-        raise ValueError("metric dim does not match tensor dim")
-    ginv = _metric_inverse(g)
-    arr = np.moveaxis(np.tensordot(t.entries, ginv, axes=([k - 1], [1])), -1, 0)
-    return Tensor(t.dim, (1, k - 1), arr)
-
-
-def lower_first(s: Tensor, g: Tensor) -> Tensor:
-    """Inverse of :func:`raise_first`: contract the output slot against g."""
-    r, k = s.valence
-    if r != 1:
-        raise ValueError("lower_first needs a (1,k) tensor")
-    if g.dim != s.dim:
-        raise ValueError("metric dim does not match tensor dim")
-    _metric_inverse(g)  # validates symmetry and positivity
-    arr = np.tensordot(s.entries, g.entries, axes=([0], [0]))
-    # output slot becomes the last covariant slot
-    arr = np.moveaxis(arr, -1, k)
-    return Tensor(s.dim, (0, k + 1), arr)
 
 
 def pullback(t: Tensor, basis: np.ndarray) -> Tensor:

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qch import cli, profiles
 from qch import (
+    SUITES,
     ab2,
     build_pi,
     make_space,
@@ -215,3 +217,62 @@ def test_a_vacuous_boundary_bound_is_a_named_breakdown(action, tmp_path, capsys)
     assert "right=1.000e+00" in captured.out
     assert "sign changes" not in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+def _results(capsys, tmp_path, *args):
+    path = tmp_path / "r.json"
+    assert main(["verify", *args, "--trials", "2", "--no-timestamp", "--json", str(path)]) == 0
+    capsys.readouterr()
+    return json.loads(path.read_text())["results"]
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_all_is_the_single_suites_in_order(n, seed, tmp_path, capsys):
+    singles = [_results(capsys, tmp_path, suite, "--n", n, "--seed", seed)
+               for suite in SUITES if suite != "all"]
+    assert [len(r) for r in singles] == [7, 3, 1, 4]
+    assert _results(capsys, tmp_path, "all", "--n", n, "--seed", seed) == sum(singles, [])
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("bad", [["--trials", "0"], ["--coeff-range", "nan"]])
+def test_draw_settings_are_validated_for_every_suite(suite, bad, capsys):
+    assert main(["verify", suite, "--n", "2", *bad]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["verify", "table", "--n", "2"], "--json"),
+    (["verify", "table", "--n", "2"], "--dump"),
+    (["profile", "report", "--r0", "1", "--L", "2", "--k", "1", "--n", "2"], "--json"),
+    (["profile", "report", "--r0", "1", "--L", "2", "--k", "1", "--n", "2"], "--csv"),
+])
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_a_bad_output_path_is_a_usage_error_before_any_work(
+        args, flag, where, tmp_path, monkeypatch, capsys):
+    def refuse(*a, **kw):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(cli, "solve_profile", refuse)
+    path = tmp_path / "missing" / "x" if where == "missing_dir" else tmp_path
+    assert main(args + [flag, str(path)]) == 2
+    assert f"usage error: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("action", ["solve", "report"])
+def test_the_endpoint_checks_are_evaluated_once(action, monkeypatch, capsys):
+    calls = []
+    real = profiles._endpoint_checks
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(profiles, "_endpoint_checks", counting)
+    monkeypatch.setattr(cli, "_endpoint_checks", counting)
+    assert main(["profile", action, "--r0", "1", "--L", "2", "--k", "1", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qch import identities
 from qch import (
     KahlerSymmetryWarning,
     QCHCoefficients,
@@ -115,6 +116,22 @@ def test_run_suite_shape_and_determinism():
     assert all(x.name == y.name and x.max_defect == y.max_defect for x, y in zip(a, b))
     assert all(r.passed for r in a)
     assert run_suite([], [0]) == []
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"trials": 0}, "trials"),
+    ({"coeff_range": float("nan")}, "coeff_range"),
+    ({"suite": "nonsense"}, "suite"),
+])
+def test_run_suite_validates_before_any_verifier_runs(monkeypatch, kwargs, match):
+    def refuse(*args, **kw):
+        raise AssertionError("work started before validation")
+
+    for name in ("make_space", "verify_multiplication_table", "verify_eq32",
+                 "verify_theorem1", "verify_product_route"):
+        monkeypatch.setattr(identities, name, refuse)
+    with pytest.raises(ValueError, match=match):
+        run_suite([2], [0], **{"suite": "table", **kwargs})
 
 
 def test_run_suite_reports_honest_failures_under_noise():

@@ -7,12 +7,11 @@ from qch import (
     build_psi,
     frobenius_inner,
     from_text,
-    lower_first,
     make_space,
     max_abs,
     parse_records,
     pullback,
-    raise_first,
+    structure_tensors,
     to_text,
 )
 
@@ -118,66 +117,33 @@ def test_max_abs_of_first_block_is_one():
     assert distinct == [0.0, 0.25, 0.5, 1.0]
 
 
-def test_raise_first_identities():
+def _general_stage():
+    """g, J, p_D, omega, Omega and Psi in a random basis that is not orthonormal."""
     sp = make_space(2)
-    g = sp.g
-    # raising the metric itself gives the identity endomorphism
-    assert np.allclose(raise_first(g, g).entries, np.eye(4))
-    # raising the fundamental 2-form gives the complex structure
-    from qch import structure_tensors
+    _, omega, big_omega = structure_tensors(sp)
+    basis = np.random.default_rng(3).standard_normal((4, 4)) + 4.0 * np.eye(4)
+    tensors = (sp.g, sp.J, sp.p_D, omega, big_omega, build_psi(sp).tensor)
+    return [pullback(t, basis).entries for t in tensors]
 
-    h, omega, big_omega = structure_tensors(sp)
-    assert np.allclose(raise_first(big_omega, g).entries, sp.J.entries)
-    # raising the plane form gives J restricted to the plane
-    jp = sp.J.entries @ sp.p_D.entries
-    assert np.allclose(raise_first(omega, g).entries, jp)
+
+def _raise_first(g, t):
+    """The endomorphism-valued form S with t(X, .., Y) = g(S(X, ..), Y)."""
+    return np.einsum("al,...l->a...", np.linalg.inv(g), t)
+
+
+def test_raise_first_identities():
+    g, J, p_D, omega, big_omega, _ = _general_stage()
+    assert not np.allclose(g, np.eye(4))
+    # g itself raises to the identity, Omega to J and the plane form to J p_D
+    assert np.allclose(_raise_first(g, g), np.eye(4))
+    assert np.allclose(_raise_first(g, big_omega), J)
+    assert np.allclose(_raise_first(g, omega), J @ p_D)
 
 
 def test_raise_first_of_fourth_block_factors():
-    sp = make_space(2)
-    psi = build_psi(sp).tensor
-    s = raise_first(psi, sp.g)
-    assert s.valence == (1, 3)
-    from qch import structure_tensors
-
-    _, omega, _ = structure_tensors(sp)
-    jp = sp.J.entries @ sp.p_D.entries
-    w = omega.entries
-    for i in range(4):
-        for j in range(4):
-            assert np.allclose(s.entries[:, i, j, :], -w[i, j] * jp)
-
-
-def test_raise_lower_roundtrip():
-    rng = np.random.default_rng(3)
-    sp = make_space(3)
-    t = Tensor(6, (0, 3), rng.standard_normal((6, 6, 6)))
-    back = lower_first(raise_first(t, sp.g), sp.g)
-    assert np.allclose(back.entries, t.entries, atol=1e-13)
-
-    # and with a non-identity metric
-    m = rng.standard_normal((6, 6))
-    g2 = Tensor(6, (0, 2), m @ m.T + 6 * np.eye(6))
-    back2 = lower_first(raise_first(t, g2), g2)
-    assert np.allclose(back2.entries, t.entries, atol=1e-12)
-
-
-def test_raise_first_rejects_bad_input():
-    sp = make_space(2)
-    with pytest.raises(ValueError):
-        raise_first(Tensor.zeros(4, (1, 1)), sp.g)
-    with pytest.raises(ValueError):
-        raise_first(Tensor.zeros(4, (0, 0)), sp.g)
-    with pytest.raises(ValueError):
-        raise_first(Tensor.zeros(3, (0, 2)), sp.g)
-    skew = np.zeros((4, 4))
-    skew[0, 1], skew[1, 0] = 1.0, -1.0
-    with pytest.raises(ValueError):
-        raise_first(Tensor.zeros(4, (0, 2)), Tensor(4, (0, 2), skew))
-    with pytest.raises(ValueError):
-        raise_first(Tensor.zeros(4, (0, 2)), Tensor(4, (0, 2), -np.eye(4)))
-    with pytest.raises(ValueError):
-        lower_first(Tensor.zeros(4, (0, 2)), sp.g)
+    g, J, p_D, omega, _, psi = _general_stage()
+    # s[:, i, j, :] == -omega_ij J p_D for every i, j
+    assert np.allclose(_raise_first(g, psi), -np.einsum("ij,ak->aijk", omega, J @ p_D))
 
 
 def test_pullback_matches_matrix_formulas():
