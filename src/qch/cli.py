@@ -9,7 +9,8 @@ through :func:`~qch.identities.run_suite`, which validates ``--tol``,
 check passes, 1 on a failed check, a numeric breakdown (including a profile
 boundary bound that is not below s) or an unsolvable profile, 2 on usage
 errors, among them a ``--json``, ``--csv`` or ``--dump`` path that is a
-directory or lies in no existing directory (checked before any work).
+directory or lies in no existing directory (checked before any work), and 2
+when the run does not fit in memory (no report file is written).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .curvature import build_phi, build_pi, build_psi
 from .derivation import NumericBreakdownError
 from .identities import SUITES, CheckResult, run_suite
 from .profiles import (
@@ -131,9 +131,7 @@ def _dump_tensors(path: str, n: int, seed: int) -> None:
         ("h", h),
         ("omega", omega),
         ("Omega", big_omega),
-        ("pi", build_pi(space).tensor),
-        ("phi", build_phi(space).tensor),
-        ("psi", build_psi(space).tensor),
+        *zip(("pi", "phi", "psi"), space.blocks),
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(to_text(t, name) for name, t in records))
@@ -263,6 +261,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:  # precondition violations are usage errors
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a run too large for this machine is refused, not a traceback
+        print("error: the run does not fit in memory", file=sys.stderr)
         return 2
 
 

@@ -3,11 +3,15 @@
 Three (0,4) building blocks live on the Hermitian stage: the constant
 holomorphic block built from the full metric, a mixed block coupling the
 metric to the distinguished plane, and a plane block quadratic in the plane's
-area form.  One pair pattern P, quadratic in a symmetric form and its
-J-pairing, generates them all: Pi = P(g, Omega), Psi = P(h, omega), and Phi
-polarizes the two, so every combination ``a * Pi + b * Phi + c * Psi`` is a
-quadratic form in those pairs.  Its holomorphic diagonal R(X, JX, JX, X) on
-unit vectors is the quartic ``a + b t^2 + c t^4`` in ``t = |X_D|``.
+area form.  One bilinear form B of pairs (s, w), a symmetric form and its
+J-pairing, generates them all: with u = (g, Omega) and v = (h, omega),
+Pi = B(u, u), Phi = 1/2 [B(u, v) + B(v, u)] and Psi = B(v, v), and the
+product model is k B(e, e) + l B(v, v) with e = (g_E, Omega_E).  B is
+antisymmetric in its first slot pair bit for bit, and so is every block,
+combination and product curvature.  The blocks are built once per stage, on
+first use, and shared as the tensors ``space.blocks``.  The holomorphic diagonal
+R(X, JX, JX, X) of ``a * Pi + b * Phi + c * Psi`` on unit vectors is the
+quartic ``a + b t^2 + c t^4`` in ``t = |X_D|``.
 """
 
 from __future__ import annotations
@@ -91,63 +95,50 @@ class CurvatureTensor:
         return self._wrap(-self.tensor)
 
 
-def _pair_pattern(sym: np.ndarray, skew: np.ndarray) -> np.ndarray:
-    """Quarter-weight curvature pattern from a symmetric form and its J-pairing.
+def _pair_form(u: tuple, v: tuple) -> np.ndarray:
+    """Quarter-weight bilinear curvature form of two pairs (s, w).
 
-    pattern(X,Y,Z,U) = 1/4 ( s(Y,Z) s(X,U) - s(X,Z) s(Y,U)
-                             + w(Y,Z) w(X,U) - w(X,Z) w(Y,U)
-                             - 2 w(X,Y) w(Z,U) )
+    A pair is a symmetric form s and its J-pairing w, which is made exactly
+    antisymmetric first.  With A = s1(Y,Z) s2(X,U) + w1(Y,Z) w2(X,U),
+
+        B(u, v)(X,Y,Z,U) = 1/4 ( A(X,Y,Z,U) - A(Y,X,Z,U) - 2 w1(X,Y) w2(Z,U) ),
+
+    so B is antisymmetric in its first slot pair bit for bit.
     """
-    return 0.25 * (
-        np.einsum("jk,il->ijkl", sym, sym)
-        - np.einsum("ik,jl->ijkl", sym, sym)
-        + np.einsum("jk,il->ijkl", skew, skew)
-        - np.einsum("ik,jl->ijkl", skew, skew)
-        - 2.0 * np.einsum("ij,kl->ijkl", skew, skew)
-    )
+    (s1, w1), (s2, w2) = u, v
+    w1, w2 = 0.5 * (w1 - w1.T), 0.5 * (w2 - w2.T)
+    a = np.einsum("jk,il->ijkl", s1, s2) + np.einsum("jk,il->ijkl", w1, w2)
+    return 0.25 * (a - a.swapaxes(0, 1) - 2.0 * np.einsum("ij,kl->ijkl", w1, w2))
+
+
+def _build_blocks(space: HermitianSpace) -> tuple[Tensor, Tensor, Tensor]:
+    """Pi = B(u, u), Phi = 1/2 [B(u, v) + B(v, u)] and Psi = B(v, v) for the
+    pairs u = (g, Omega) and v = (h, omega); read them as ``space.blocks``."""
+    h, omega, big_omega = (t.entries for t in structure_tensors(space))
+    u, v = (space.g.entries, big_omega), (h, omega)
+    arrays = (_pair_form(u, u), 0.5 * (_pair_form(u, v) + _pair_form(v, u)), _pair_form(v, v))
+    return tuple(Tensor(space.dim, (0, 4), a) for a in arrays)
 
 
 def build_pi(space: HermitianSpace) -> CurvatureTensor:
-    """Constant holomorphic block: the pair pattern of (g, Omega).
-
-    Its holomorphic diagonal is identically 1 on unit vectors.
-    """
-    _, _, big_omega = structure_tensors(space)
-    arr = _pair_pattern(space.g.entries, big_omega.entries)
-    return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
+    """Constant holomorphic block B((g, Omega), (g, Omega)); diagonal is 1."""
+    return CurvatureTensor(space.blocks[0], space)
 
 
 def build_phi(space: HermitianSpace) -> CurvatureTensor:
-    """Mixed block coupling the metric to the plane; diagonal is t^2.
-
-    Phi = 1/2 [P(g + h, Omega + omega) - P(g, Omega) - P(h, omega)], the
-    polarization of the quadratic pair pattern P.
-    """
-    gm = space.g.entries
-    h, omega, big_omega = (t.entries for t in structure_tensors(space))
-    arr = 0.5 * (
-        _pair_pattern(gm + h, big_omega + omega)
-        - _pair_pattern(gm, big_omega)
-        - _pair_pattern(h, omega)
-    )
-    return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
+    """Mixed block coupling the metric to the plane; diagonal is t^2."""
+    return CurvatureTensor(space.blocks[1], space)
 
 
 def build_psi(space: HermitianSpace) -> CurvatureTensor:
-    """Plane block: psi = P(h, omega) = -omega (x) omega; diagonal is t^4."""
-    h, omega, _ = structure_tensors(space)
-    arr = _pair_pattern(h.entries, omega.entries)
-    return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
+    """Plane block: psi = B((h, omega), (h, omega)) = -omega (x) omega; diagonal is t^4."""
+    return CurvatureTensor(space.blocks[2], space)
 
 
 def combine(coeffs: QCHCoefficients, space: HermitianSpace) -> CurvatureTensor:
     """a*Pi + b*Phi + c*Psi on the given stage."""
-    t = (
-        coeffs.a * build_pi(space).tensor
-        + coeffs.b * build_phi(space).tensor
-        + coeffs.c * build_psi(space).tensor
-    )
-    return CurvatureTensor(t, space)
+    pi, phi, psi = space.blocks
+    return CurvatureTensor(coeffs.a * pi + coeffs.b * phi + coeffs.c * psi, space)
 
 
 @dataclass(frozen=True)
@@ -202,8 +193,9 @@ def hol_sect(r: CurvatureTensor, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (r.space.dim,):
         raise ValueError(f"vector shape {x.shape} does not match dim {r.space.dim}")
-    norm2 = float(x @ r.space.g.entries @ x)
-    if abs(norm2 - 1.0) > _UNIT_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN length: rejected below
+        norm2 = float(x @ r.space.g.entries @ x)
+    if not abs(norm2 - 1.0) <= _UNIT_TOL:  # written so that NaN fails it
         raise ValueError(f"hol_sect expects a unit vector; got |X|^2 = {norm2!r}")
     jx = r.space.J.entries @ x
     return r.tensor.evaluate(x, jx, jx, x)
@@ -219,34 +211,31 @@ def fit_coefficients(
     ``max_abs(R - combine(fit))``.  Raises if the Gram matrix is numerically
     singular (it is not, for any stage with n >= 2).
     """
-    basis = [build_pi(r.space).tensor, build_phi(r.space).tensor, build_psi(r.space).tensor]
+    basis = r.space.blocks
     gram = np.array([[frobenius_inner(u, v) for v in basis] for u in basis])
     if np.linalg.cond(gram) > cond_limit:
         raise ValueError("Gram system of the model blocks is ill-conditioned")
     rhs = np.array([frobenius_inner(u, r.tensor) for u in basis])
-    a, b, c = np.linalg.solve(gram, rhs)
-    fit = QCHCoefficients(float(a), float(b), float(c))
-    pi, phi, psi = basis
-    residual = max_abs(r.tensor - (fit.a * pi + fit.b * phi + fit.c * psi))
+    fit = QCHCoefficients(*(float(x) for x in np.linalg.solve(gram, rhs)))
+    residual = max_abs(r.tensor - combine(fit, r.space).tensor)
     return fit, residual
 
 
 def product_curvature(k: float, l: float, space: HermitianSpace) -> CurvatureTensor:
     """Blockwise curvature of a product of two factors through the stage.
 
-    The complement factor contributes ``k`` times the pair pattern of the
-    metric restricted to E; the plane factor contributes ``l`` times the pair
-    pattern of the metric restricted to D (which on a J-invariant 2-plane is
-    the constant-curvature surface tensor).  The E pair is (g - h, Omega - omega),
-    so by the quadratic expansion of P this equals ``combine(k, -2k, l + k)``.
+    The complement factor contributes ``k B(e, e)`` for the pair
+    e = (g_E, Omega_E) of the metric restricted to E; the plane factor
+    contributes ``l B(v, v)`` for the pair v = (h, omega) of the metric
+    restricted to D (which on a J-invariant 2-plane is the constant-curvature
+    surface tensor).  As e = u - v with u = (g, Omega), the bilinearity of B
+    makes this ``combine(k, -2k, l + k)``.
     """
     if not (math.isfinite(k) and math.isfinite(l)):
         raise ValueError("factor curvatures k, l must be finite")
-    gm, jm, pm = space.g.entries, space.J.entries, space.p_D.entries
-    pe = np.eye(space.dim) - pm
-    g_e = pe.T @ gm @ pe
-    omega_e = jm.T @ g_e
-    h = pm.T @ gm @ pm
-    w = jm.T @ h
-    arr = k * _pair_pattern(g_e, omega_e) + l * _pair_pattern(h, w)
+    h, omega, _ = (t.entries for t in structure_tensors(space))
+    pe = np.eye(space.dim) - space.p_D.entries
+    g_e = pe.T @ space.g.entries @ pe
+    e, v = (g_e, space.J.entries.T @ g_e), (h, omega)
+    arr = k * _pair_form(e, e) + l * _pair_form(v, v)
     return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)

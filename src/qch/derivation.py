@@ -82,18 +82,21 @@ def curvature_operators(r: CurvatureTensor) -> np.ndarray:
     return np.einsum("aw,uvbw->uvab", ginv, r.tensor.entries)
 
 
-# Operators and symmetry report of each curvature in use.  A curvature is
-# immutable and hashes by identity, so its entry is valid until it dies.
+# Stage, operators and symmetry report of each curvature in use, keyed by its
+# entries (immutable, hashed by identity), so every wrapper of a stage's shared
+# blocks finds them; the stage is held weakly, or it would keep its blocks alive.
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _checked_operators(r: CurvatureTensor) -> np.ndarray:
     """Curvature operators of ``r``, warning first if ``r`` fails the
     Kahler-type symmetry check (at 1e-8 scaled).  Both are computed once per
-    tensor; the warning is repeated on every use."""
-    if r not in _OPERATORS:
-        _OPERATORS[r] = (curvature_operators(r), check_kahler_symmetries(r, tol=_WARN_TOL))
-    ops, report = _OPERATORS[r]
+    tensor and stage; the warning is repeated on every use."""
+    memo = _OPERATORS.get(r.tensor)
+    if memo is None or memo[0]() is not r.space:
+        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space), curvature_operators(r),
+                                       check_kahler_symmetries(r, tol=_WARN_TOL))
+    _, ops, report = memo
     if not report.passed:
         warnings.warn(
             "curvature input fails Kahler-type symmetries "
@@ -181,7 +184,7 @@ def fused_sups(
     themselves are reduced.  The slabs are buffers that every slab reuses:
     ``form`` may overwrite them (with ``out=`` ufuncs, say) and return them,
     and each returned array is overwritten by its absolute values as it is
-    reduced.  Each actor is symmetry-checked once in its lifetime and, if it
+    reduced.  Each actor is symmetry-checked once per tensor and stage and, if it
     fails, warns once per call.
     Raises :class:`NumericBreakdownError`, naming ``check``, when a reduced
     value is not finite.
@@ -218,8 +221,11 @@ def fused_sups(
 
 
 def pseudosymmetry_defect(r: CurvatureTensor, factor: float) -> float:
-    """Sup-norm defect of R.R = factor * (Pi.R) on R's own stage."""
+    """Sup-norm defect of R.R = factor * (Pi.R) on R's own stage; a factor
+    that is not finite is a ``ValueError``, raised before any product."""
     factor = float(factor)
+    if not math.isfinite(factor):
+        raise ValueError(f"pseudosymmetry factor must be finite, got {factor!r}")
 
     def defect(rr, pi_r):
         np.multiply(pi_r, factor, out=pi_r)

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .curvature import (
-    CurvatureTensor,
     QCHCoefficients,
     build_phi,
     build_pi,
@@ -33,7 +32,7 @@ from .curvature import (
 )
 from .derivation import fused_sups
 from .spaces import HermitianSpace, make_space, project_D, random_adapted_change
-from .tensors import Tensor, max_abs
+from .tensors import Tensor, _checked_int, max_abs
 
 __all__ = [
     "CheckResult",
@@ -82,24 +81,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _check_draws(trials: int, coeff_range: float) -> None:
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+def _check_draws(trials: int, coeff_range: float) -> int:
+    """``trials`` as an int, once it and ``coeff_range`` are valid."""
+    trials = _checked_int(trials, 1, "trials")
     if not (math.isfinite(coeff_range) and coeff_range > 0):
         raise ValueError(f"coeff_range must be finite and positive, got {coeff_range!r}")
-
-
-def _blocks(space: HermitianSpace, seed: int, phi_noise: float):
-    pi = build_pi(space)
-    phi = build_phi(space)
-    psi = build_psi(space)
-    if phi_noise:
-        rng = np.random.default_rng(seed)
-        noise = rng.uniform(-1.0, 1.0, size=phi.tensor.entries.shape)
-        phi = CurvatureTensor(
-            phi.tensor + phi_noise * Tensor(space.dim, (0, 4), noise), space
-        )
-    return pi, phi, psi
+    return trials
 
 
 def _doubled_rhs(lhs, rhs):
@@ -122,7 +109,10 @@ def verify_multiplication_table(
     (useful to confirm the checks can fail).
     """
     _check_tol(tol)
-    pi, phi, psi = _blocks(space, seed, phi_noise)
+    pi, phi, psi = build_pi(space), build_phi(space), build_psi(space)
+    if phi_noise:
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=phi.tensor.entries.shape)
+        phi = phi + phi_noise * Tensor(space.dim, (0, 4), noise)
     results = []
 
     zero_cases = [
@@ -153,7 +143,7 @@ def verify_multiplication_table(
 def verify_eq32(space: HermitianSpace, tol: float = 1e-10, seed: int = 0) -> list[CheckResult]:
     """The three coupled relations among the seven products."""
     _check_tol(tol)
-    pi, phi, psi = _blocks(space, seed, 0.0)
+    pi, phi, psi = build_pi(space), build_phi(space), build_psi(space)
     results = []
 
     def doubled(phi_phi, phi_pi, pi_phi):
@@ -201,15 +191,15 @@ def verify_theorem1(
     ``max_abs(R.R - f Pi.R) / (1 + max_abs(R.R))`` over all trials.
     """
     _check_tol(tol)
-    _check_draws(trials, coeff_range)
+    trials = _check_draws(trials, coeff_range)
     name = "theorem1:r.r=(a+b/2)pi.r"
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    pi, phi, psi = _blocks(space, seed, 0.0)
+    pi = build_pi(space)
     worst = 0.0
     for _ in range(trials):
         a, b, c = rng.uniform(-coeff_range, coeff_range, size=3)
-        r = a * pi + b * phi + c * psi  # combine()'s arithmetic, blocks built once
+        r = combine(QCHCoefficients(a, b, c), space)
         factor = float(a + b / 2.0)
 
         def defect_and_rr(rr, pi_r):
@@ -301,7 +291,7 @@ def run_suite(
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {', '.join(SUITES)}, got {suite!r}")
     _check_tol(tol)
-    _check_draws(trials, coeff_range)
+    trials = _check_draws(trials, coeff_range)
     results: list[CheckResult] = []
     seeds = list(seeds)
     for n in n_list:

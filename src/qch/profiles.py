@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .derivation import NumericBreakdownError
+from .tensors import _checked_int
 
 __all__ = [
     "Profile",
@@ -87,12 +88,10 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
         raise ValueError("r0 must be a positive finite number")
     if not (math.isfinite(L) and L > 0):
         raise ValueError("L must be a positive finite number")
-    if int(k) != k or k < 1:
-        raise ValueError("factor curvature index k must be an integer >= 1")
-    if int(n) != n or n < 2:
-        raise ValueError("complex dimension n must be an integer >= 2")
+    k = _checked_int(k, 1, "factor curvature index k")
+    n = _checked_int(n, 2, "complex dimension n")
     # Python floats: an overflow below gives inf, where numpy scalars would warn
-    r0, L, k, n = float(r0), float(L), int(k), int(n)
+    r0, L = float(r0), float(L)
 
     s = 2.0 * k / n
     g0 = s / (2.0 * r0 * L)
@@ -275,9 +274,7 @@ def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
     A zero sample is a sign change only between nonzero samples of opposite
     signs.  Raises :class:`~qch.derivation.NumericBreakdownError` when every
     sample is zero (ab2 underflows for huge r0) or one overflows (tiny r0)."""
-    if int(grid_size) != grid_size or grid_size < 3:
-        raise ValueError("grid_size must be an integer >= 3")
-    grid = np.linspace(0.0, profile.L, int(grid_size))
+    grid = np.linspace(0.0, profile.L, _checked_int(grid_size, 3, "grid_size"))
     values = ab2(profile, grid)
 
     # a sign change lies between consecutive nonzero samples of opposite

@@ -11,10 +11,11 @@ D-preserving (block-unitary) changes of basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .tensors import Tensor, pullback
+from .tensors import Tensor, _checked_int, pullback
 
 __all__ = [
     "HermitianSpace",
@@ -84,6 +85,13 @@ class HermitianSpace:
     def dim(self) -> int:
         return 2 * self.n
 
+    @cached_property
+    def blocks(self):
+        """The model blocks ``(Pi, Phi, Psi)`` as tensors, built on first use; they
+        hold no reference to the stage, so they die with it, cycle collector or not."""
+        from .curvature import _build_blocks  # curvature builds on this module
+        return _build_blocks(self)
+
 
 def _canonical_j(n: int) -> np.ndarray:
     d = 2 * n
@@ -96,9 +104,7 @@ def _canonical_j(n: int) -> np.ndarray:
 
 def make_space(n: int) -> HermitianSpace:
     """Canonical stage of complex dimension n (real dimension 2n), n >= 2."""
-    if int(n) != n or n < 2:
-        raise ValueError("complex dimension n must be an integer >= 2")
-    n = int(n)
+    n = _checked_int(n, 2, "complex dimension n")
     d = 2 * n
     pm = np.zeros((d, d))
     pm[0, 0] = pm[1, 1] = 1.0

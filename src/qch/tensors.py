@@ -11,6 +11,7 @@ matrix of the endomorphism.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,15 @@ class Tensor:
         return Tensor(self.dim, self.valence, float(scalar) * self.entries)
 
     __rmul__ = __mul__
+
+
+def _checked_int(value, minimum: int, what: str) -> int:
+    """``value`` as an int; anything that is not an integer of at least
+    ``minimum`` (2.5, inf, NaN, a string) is a ``ValueError`` naming ``what``."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if float(value).is_integer() and value >= minimum:
+            return int(value)
+    raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 def frobenius_inner(s: Tensor, t: Tensor) -> float:

@@ -276,3 +276,20 @@ def test_the_endpoint_checks_are_evaluated_once(action, monkeypatch, capsys):
     assert main(["profile", action, "--r0", "1", "--L", "2", "--k", "1", "--n", "2"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "all", "--n", "2", "--dump"],
+    ["profile", "report", "--r0", "1", "--L", "2", "--k", "1", "--n", "2",
+     "--grid", "100000000000", "--csv"],
+])
+def test_a_run_that_does_not_fit_in_memory_is_refused(args, tmp_path, monkeypatch, capsys):
+    def exhausted(*a, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_suite", exhausted)
+    monkeypatch.setattr(cli, "profile_report", exhausted)
+    out = tmp_path / "out"
+    assert main(args + [str(out), "--json", str(tmp_path / "r.json")]) == 2
+    assert "does not fit in memory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from qch import curvature
 from qch import (
     CurvatureTensor,
     QCHCoefficients,
@@ -10,15 +14,20 @@ from qch import (
     build_psi,
     check_kahler_symmetries,
     combine,
+    curvature_operators,
     fit_coefficients,
     hol_sect,
     make_space,
     max_abs,
     product_curvature,
+    pseudosymmetry_defect,
     project_D,
     pullback,
     random_adapted_change,
     structure_tensors,
+    verify_eq32,
+    verify_multiplication_table,
+    verify_theorem1,
 )
 
 from helpers import (
@@ -90,6 +99,54 @@ def test_curvature_arithmetic():
     assert np.allclose((-pi).tensor.entries, -pi.tensor.entries)
 
 
+# -- one bilinear form, blocks built once per stage -----------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_every_model_curvature_is_exactly_antisymmetric_in_its_first_pair(n):
+    sp = random_adapted_change(make_space(n), 4)
+    a, b, c = np.random.default_rng(n).uniform(-5.0, 5.0, size=3)
+    candidates = [build_pi(sp), build_phi(sp), build_psi(sp),
+                  combine(QCHCoefficients(a, b, c), sp), product_curvature(0.7, -1.3, sp)]
+    for r in candidates:
+        for x in (r.tensor.entries, curvature_operators(r)):
+            assert np.array_equal(x, -x.swapaxes(0, 1))
+
+
+def test_one_stage_builds_its_blocks_once(monkeypatch):
+    builds, forms = [], []
+    real_build, real_form = curvature._build_blocks, curvature._pair_form
+    monkeypatch.setattr(curvature, "_build_blocks",
+                        lambda space: builds.append(space) or real_build(space))
+    monkeypatch.setattr(curvature, "_pair_form",
+                        lambda u, v: forms.append(u) or real_form(u, v))
+    sp = random_adapted_change(make_space(2), 6)
+    r = combine(QCHCoefficients(0.5, -1.0, 2.0), sp)
+    verify_multiplication_table(sp)
+    verify_eq32(sp)
+    verify_theorem1(sp, trials=2)
+    fit_coefficients(r)
+    pseudosymmetry_defect(r, 0.0)
+    assert builds == [sp]
+    assert len(forms) == 4  # Pi, Psi, and the two halves of Phi
+    assert tuple(b(sp).tensor for b in (build_pi, build_phi, build_psi)) == sp.blocks
+
+
+def test_a_used_stage_dies_with_its_blocks():
+    # no reference cycle either: the stage is freed without the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        sp = random_adapted_change(make_space(2), 8)
+        verify_theorem1(sp, trials=2)
+        fit_coefficients(product_curvature(1.0, 0.5, sp))
+        stage, block = weakref.ref(sp), weakref.ref(sp.blocks[0])
+        del sp
+        assert stage() is None and block() is None
+    finally:
+        gc.enable()
+
+
 # -- symmetry reports ---------------------------------------------------------
 
 
@@ -152,6 +209,10 @@ def test_diagonal_rejects_non_unit_vectors():
         hol_sect(r, np.zeros(4))
     with pytest.raises(ValueError):
         hol_sect(r, np.array([1.0, 1.0, 0.0, 0.0]))
+    # a NaN length fails every comparison, so the unit check must fail on it
+    for bad in (np.nan, np.inf, 1e200):
+        with pytest.raises(ValueError, match="unit vector"):
+            hol_sect(r, np.array([bad, 0.0, 0.0, 0.0]))
 
 
 # -- coefficient recovery -----------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qch import derivation
 from qch import (
     KahlerSymmetryWarning,
     QCHCoefficients,
@@ -221,3 +222,14 @@ def test_defect_is_large_at_the_wrong_factor():
     # a + b = 1 is the natural wrong guess; the true factor is a + b/2 = 1/2
     assert pseudosymmetry_defect(r, 1.0) > 1e-3
     assert pseudosymmetry_defect(r, 0.5) < 1e-13
+
+
+@pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_factor_is_rejected_before_any_product(factor, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(derivation, "fused_sups", refuse)
+    r = combine(QCHCoefficients(0.0, 1.0, 0.0), make_space(2))
+    with pytest.raises(ValueError, match="factor must be finite"):
+        pseudosymmetry_defect(r, factor)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qch import identities
+from qch import derivation, identities
 from qch import (
     KahlerSymmetryWarning,
     QCHCoefficients,
@@ -122,6 +122,8 @@ def test_run_suite_shape_and_determinism():
     ({"trials": 0}, "trials"),
     ({"coeff_range": float("nan")}, "coeff_range"),
     ({"suite": "nonsense"}, "suite"),
+    ({"trials": 2.5}, "trials"),
+    ({"trials": float("inf")}, "trials"),
 ])
 def test_run_suite_validates_before_any_verifier_runs(monkeypatch, kwargs, match):
     def refuse(*args, **kw):
@@ -132,6 +134,25 @@ def test_run_suite_validates_before_any_verifier_runs(monkeypatch, kwargs, match
         monkeypatch.setattr(identities, name, refuse)
     with pytest.raises(ValueError, match=match):
         run_suite([2], [0], **{"suite": "table", **kwargs})
+
+
+@pytest.mark.parametrize("trials", [2.5, float("inf"), float("nan"), "2"])
+def test_theorem1_rejects_a_trial_count_that_is_not_an_integer(trials):
+    with pytest.raises(ValueError, match="trials"):
+        verify_theorem1(make_space(2), trials=trials)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 10])
+def test_run_suite_checks_each_curvature_once(trials, monkeypatch):
+    # the three shared blocks, one combination per trial and the two
+    # semisymmetric product curvatures
+    checked = []
+    real = derivation.check_kahler_symmetries
+    monkeypatch.setattr(derivation, "check_kahler_symmetries",
+                        lambda r, tol: checked.append(r) or real(r, tol))
+    assert all(r.passed for r in run_suite([2], [0], trials=trials))
+    assert len(checked) == trials + 5
+    assert len({r.tensor for r in checked}) == len(checked)
 
 
 def test_run_suite_reports_honest_failures_under_noise():

@@ -162,15 +162,17 @@ def test_report_works_on_a_coarse_grid():
 def test_solver_rejects_bad_parameters():
     for bad in [(-1.0, 1.0, 1, 2), (0.0, 1.0, 1, 2), (1.0, -2.0, 1, 2),
                 (1.0, 0.0, 1, 2), (1.0, 1.0, 0, 2), (1.0, 1.0, 1.5, 2),
-                (1.0, 1.0, 1, 1), (1.0, 1.0, 1, 2.5), (np.inf, 1.0, 1, 2)]:
+                (1.0, 1.0, 1, 1), (1.0, 1.0, 1, 2.5), (np.inf, 1.0, 1, 2),
+                (1.0, 1.0, np.inf, 2), (1.0, 1.0, 1, np.inf), (1.0, 1.0, np.nan, 2)]:
         with pytest.raises(ValueError):
             solve_profile(*bad)
 
 
 def test_eval_rejects_out_of_domain_input():
     p = solve_profile(1.0, 2.0, 1, 2)
-    with pytest.raises(ValueError):
-        profile_report(p, grid_size=2)
+    for grid_size in (2, 100.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grid_size"):
+            profile_report(p, grid_size=grid_size)
     # NaN lies in no interval: a usage error, not an all-NaN sample or a breakdown
     for evaluate in (eval_profile, ab2, ab2_alternate):
         for bad in (-0.1, 2.1, math.nan, np.array([0.5, 2.5]), np.array([0.5, math.nan])):
@@ -314,8 +316,8 @@ def test_numpy_scalar_parameters_solve_like_python_floats():
 @given(
     r0=st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
     L=st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
-    k=st.integers(max_value=0),
-    n=st.integers(max_value=1),
+    k=st.one_of(st.integers(max_value=0), st.sampled_from([math.inf, math.nan, 2.5])),
+    n=st.one_of(st.integers(max_value=1), st.sampled_from([math.inf, math.nan, 2.5])),
     which=st.integers(0, 3),
 )
 def test_solver_rejects_every_parameter_outside_its_domain(r0, L, k, n, which):

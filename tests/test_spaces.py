@@ -31,8 +31,8 @@ def test_canonical_stage_matches_hand_matrices():
 
 
 def test_make_space_rejects_bad_dimension():
-    for bad in (1, 0, -3, 2.5):
-        with pytest.raises(ValueError):
+    for bad in (1, 0, -3, 2.5, float("inf"), float("-inf"), float("nan"), "3"):
+        with pytest.raises(ValueError, match="complex dimension n"):
             make_space(bad)
 
 
