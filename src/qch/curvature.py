@@ -178,7 +178,10 @@ def check_kahler_symmetries(r: CurvatureTensor, tol: float = 1e-12) -> SymmetryR
     bianchi = float(
         np.max(np.abs(arr + arr.transpose(2, 0, 1, 3) + arr.transpose(1, 2, 0, 3)))
     )
-    j_inv = float(np.max(np.abs(np.einsum("ai,bj,abkl->ijkl", jm, jm, arr) - arr)))
+    # R(JX, JY, Z, U) as two matmuls over the first two slots
+    d = r.space.dim
+    pulled = np.matmul(jm.T, (jm.T @ arr.reshape(d, -1)).reshape(d, d, -1))
+    j_inv = float(np.max(np.abs(pulled.reshape(arr.shape) - arr)))
     scaled = tol * (1.0 + max_abs(r.tensor))
     passed = all(v <= scaled for v in (anti, pair, bianchi, j_inv))
     return SymmetryReport(anti, pair, bianchi, j_inv, scaled, passed)

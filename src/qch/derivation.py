@@ -11,16 +11,23 @@ For a (0,4) target that result has d^6 entries: 1.5 GB at real dimension
 d = 24.  The checks only need sup norms of linear combinations of such
 products, so :func:`fused_sups` streams them in slabs of at most
 :data:`SLAB_BYTES` (1 MB) and reduces every slab as soon as it is formed; no
-full (0,6) array is built.  A slab is a range of flattened (U, V) pairs, pair
-axis first: all pairs up to d = 6, 32 pairs at d = 8, one pair from d = 20
-on.  Each slot's term of the action is one batched matmul that lands in that
-layout, and a check allocates one buffer per product and one term buffer,
-which every slab reuses; its ``form`` combines the product slabs in place.
-A ``verify theorem1 --n 12 --trials 1`` run (d = 24) then takes about 5 s
-with a 62 MB peak RSS on a 2-core Xeon at 2.1 GHz, where the dense products
-would need about 7.6 GB.  :func:`curv_dot` returns the full
-product, computed by the same slab function over all pairs, with the pair
-axes moved back to the end.
+full (0,6) array is built.  A slab is a range of (U, V) pairs of an operator
+stack, pair axis first.  When every actor of a check has exactly
+antisymmetric operators, R(V, U) = -R(U, V) bit for bit, as the model blocks,
+their combinations and product curvatures do by construction, the stack
+holds only the d(d-1)/2 pairs U < V.  That is exact: negating an operator
+negates every rounded product and sum, so the product at (V, U) is the exact
+negation of the one at (U, V), and it is zero at U = V.  Any other actor (a
+perturbed block, a user tensor, one off by an ulp) runs all d^2 pairs.  A
+slab holds all pairs U < V up to d = 8, 13 pairs at d = 10 and one pair from
+d = 20 on.  Each slot's term of the action is one batched matmul that lands
+in that layout, and a check allocates one buffer per product and one term
+buffer, which every slab reuses; its ``form`` combines the product slabs in
+place.  A ``verify theorem1 --n 12 --trials 1`` run (d = 24) then takes
+1.9-2.7 s with a 60 MB peak RSS on a 2-core Xeon at 2.1 GHz, where the dense
+products would need about 7.6 GB.  :func:`curv_dot` returns the full product,
+computed by the same slab function over all d^2 pairs, with the pair axes
+moved back to the end.
 """
 
 from __future__ import annotations
@@ -82,19 +89,31 @@ def curvature_operators(r: CurvatureTensor) -> np.ndarray:
     return np.einsum("aw,uvbw->uvab", ginv, r.tensor.entries)
 
 
-# Stage, operators and symmetry report of each curvature in use, keyed by its
-# entries (immutable, hashed by identity), so every wrapper of a stage's shared
-# blocks finds them; the stage is held weakly, or it would keep its blocks alive.
+# Stage, operator stack and symmetry report of each curvature in use, keyed by
+# its entries (immutable, hashed by identity), so every wrapper of a stage's
+# shared blocks finds them; the stage is held weakly, or it would keep its
+# blocks alive.
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _checked_operators(r: CurvatureTensor) -> np.ndarray:
-    """Curvature operators of ``r``, warning first if ``r`` fails the
-    Kahler-type symmetry check (at 1e-8 scaled).  Both are computed once per
-    tensor and stage; the warning is repeated on every use."""
+    """Stacked curvature operators of ``r``, warning first if ``r`` fails the
+    Kahler-type symmetry check (at 1e-8 scaled).
+
+    When the operators are exactly antisymmetric, R(V, U) = -R(U, V) bit for
+    bit, the stack holds the d(d-1)/2 pairs U < V in ``np.triu_indices``
+    order; otherwise it holds all d*d pairs ``U * d + V``.  Both are computed
+    once per tensor and stage; the warning is repeated on every use.
+    """
     memo = _OPERATORS.get(r.tensor)
     if memo is None or memo[0]() is not r.space:
-        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space), curvature_operators(r),
+        ops = curvature_operators(r)
+        d = r.space.dim
+        if np.array_equal(ops, -ops.swapaxes(0, 1)):
+            ops = ops[np.triu_indices(d, 1)]
+        else:
+            ops = ops.reshape(d * d, d, d)
+        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space), ops,
                                        check_kahler_symmetries(r, tol=_WARN_TOL))
     _, ops, report = memo
     if not report.passed:
@@ -109,17 +128,17 @@ def _checked_operators(r: CurvatureTensor) -> np.ndarray:
 
 def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
                  out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
-    """Entries of R(U, V) . T for the flattened pairs ``lo:hi`` of (U, V).
+    """Entries of R(U, V) . T for the pairs ``lo:hi`` of an operator stack.
 
-    ``ops`` are the curvature operators of R and ``t`` the entries of a
-    tensor with ``rk`` output slots.  The result has the pair axis
-    (``hi - lo`` pairs ``U * d + V``) first, then the slots of ``t``.  It is
+    ``ops`` is a (P, d, d) stack of curvature operators of R and ``t`` the
+    entries of a tensor with ``rk`` output slots.  The result has the pair
+    axis (``hi - lo`` pairs of the stack) first, then the slots of ``t``.  It is
     written into ``out`` and each slot's term into ``term`` when they are
     given (arrays with at least ``hi - lo`` pairs), so a caller that keeps
     both across slabs allocates nothing per slab.
     """
     d = ops.shape[-1]
-    ops = ops.reshape(-1, d, d)[lo:hi]
+    ops = ops[lo:hi]
     ops_t = ops.transpose(0, 2, 1)[:, None]
     m = len(ops)
     out = np.empty((m,) + t.shape) if out is None else out[:m]
@@ -151,7 +170,9 @@ def curv_dot(r: CurvatureTensor, t: Tensor | CurvatureTensor) -> Tensor:
     """Act with R(U, V) on ``t`` for every basis pair (U, V).
 
     Returns a tensor of valence (r, k+2); the two new covariant slots (U, V)
-    come last.  The curvature operators are formed once and applied slotwise.
+    come last.  The curvature operators of all d*d pairs are formed afresh
+    and applied slotwise, so this is the dense reference for
+    :func:`fused_sups`, whatever pair list that takes.
     A curvature that fails the Kahler-type symmetry check (at 1e-8 scaled)
     triggers a :class:`KahlerSymmetryWarning` but the computation proceeds.
     """
@@ -161,7 +182,8 @@ def curv_dot(r: CurvatureTensor, t: Tensor | CurvatureTensor) -> Tensor:
         raise ValueError("tensor dim does not match curvature dim")
     rk, k = t.valence
     d = t.dim
-    out = _action_slab(_checked_operators(r), t.entries, rk, 0, d * d)
+    _checked_operators(r)  # the symmetry check and its warning
+    out = _action_slab(curvature_operators(r).reshape(d * d, d, d), t.entries, rk, 0, d * d)
     return Tensor(d, (rk, k + 2), np.moveaxis(out, 0, -1).reshape(t.entries.shape + (d, d)))
 
 
@@ -186,6 +208,13 @@ def fused_sups(
     and each returned array is overwritten by its absolute values as it is
     reduced.  Each actor is symmetry-checked once per tensor and stage and, if it
     fails, warns once per call.
+
+    When every actor's operators are exactly antisymmetric (see
+    :func:`_checked_operators`), only the pairs U < V are formed: the product
+    at (V, U) is then the exact negation of the one at (U, V) and zero at
+    U = V, so for a ``form`` that is odd (a linear combination, say) the sup
+    norms are those over all pairs.  A call with any other actor forms all
+    d*d pairs.
     Raises :class:`NumericBreakdownError`, naming ``check``, when a reduced
     value is not finite.
     """
@@ -198,15 +227,19 @@ def fused_sups(
     for actor, _ in pairs:
         if actor not in ops:
             ops[actor] = _checked_operators(actor)
+    count = max(len(stack) for stack in ops.values())
+    if count == d * d:  # an actor is not exactly antisymmetric: all pairs
+        ops = {a: stack if len(stack) == count else curvature_operators(a).reshape(count, d, d)
+               for a, stack in ops.items()}
     # one (U, V) pair of a product of a (0,4) target holds d^4 entries
-    step = min(d * d, max(1, SLAB_BYTES // (8 * d**4)))
+    step = min(count, max(1, SLAB_BYTES // (8 * d**4)))
     products = [np.empty((step,) + (d,) * 4) for _ in pairs]
     term = np.empty_like(products[0])
     sups = None
     # overflow is reported as a NumericBreakdownError
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, d * d, step):
-            hi = min(lo + step, d * d)
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
             slabs = [
                 _action_slab(ops[a], t.tensor.entries, 0, lo, hi, out, term)
                 for (a, t), out in zip(pairs, products)

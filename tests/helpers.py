@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything in this module is built with explicit Python loops and hand-written
-index formulas, deliberately avoiding the library's einsum/tensordot code
-paths, so that agreement between the two is meaningful evidence rather than
-a tautology.
+index formulas, or with an einsum the library does not use, deliberately
+avoiding the library's code paths, so that agreement between the two is
+meaningful evidence rather than a tautology.
 """
 
 import numpy as np
@@ -112,3 +112,9 @@ def random_unit_vector(rng, d):
 def tensor_product_2_2(A, B):
     """(i,j,k,l) -> A[i,j] * B[k,l] without einsum."""
     return np.multiply.outer(A, B)
+
+
+def einsum_j_invariance(R, J):
+    """Sup of |R(JX, JY, Z, U) - R(X, Y, Z, U)| over basis vectors, by one
+    three-operand einsum (the library's former formula)."""
+    return float(np.max(np.abs(np.einsum("ai,bj,abkl->ijkl", J, J, R) - R)))

@@ -32,6 +32,7 @@ from qch import (
 
 from helpers import (
     canonical_matrices,
+    einsum_j_invariance,
     loop_phi,
     loop_pi,
     loop_psi,
@@ -168,6 +169,33 @@ def test_symmetry_report_catches_perturbation():
     rep = check_kahler_symmetries(broken)
     assert not rep.passed
     assert rep.defects()["pair_antisymmetry"] == pytest.approx(eps, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_j_invariance_matches_the_einsum_oracle(n):
+    sp = random_adapted_change(make_space(n), 3)
+    g = sp.g.entries
+    rng = np.random.default_rng(n)
+    noise = rng.standard_normal((sp.dim,) * 4)
+    # real space form: every symmetry but J-invariance
+    real_form = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+    candidates = [
+        build_pi(sp), build_phi(sp), build_psi(sp),
+        combine(QCHCoefficients(*rng.uniform(-5.0, 5.0, size=3)), sp),
+        CurvatureTensor(Tensor(sp.dim, (0, 4), real_form), sp),
+        CurvatureTensor(Tensor(sp.dim, (0, 4), noise - noise.swapaxes(0, 1)), sp),
+    ]
+    verdicts = []
+    for r in candidates:
+        oracle = einsum_j_invariance(r.tensor.entries, sp.J.entries)
+        for tol in (1e-12, 1e-8):
+            rep = check_kahler_symmetries(r, tol=tol)
+            assert rep.j_invariance == pytest.approx(
+                oracle, rel=1e-13, abs=1e-13 * max_abs(r.tensor))
+            others = (rep.pair_antisymmetry, rep.pair_symmetry, rep.first_bianchi)
+            assert rep.passed == all(v <= rep.tolerance for v in others + (oracle,))
+            verdicts.append(rep.passed)
+    assert verdicts == [True] * 8 + [False] * 4
 
 
 def test_symmetry_tolerance_scales_with_magnitude():

@@ -1,14 +1,16 @@
 """The streamed derivation kernel against the dense products it replaces.
 
-Every check of ``run_suite`` reduces derivation products slab by slab.  The
-dense reference below forms each full product with ``curv_dot`` and reduces
-it afterwards, exactly as the checks did before streaming; the two must give
-the same floats, whether the (U, V) pairs form one slab or several.
+Every check of ``run_suite`` reduces derivation products slab by slab, over
+the pairs U < V when every actor is exactly antisymmetric.  The dense
+reference below forms each full product over all pairs with ``curv_dot`` and
+reduces it afterwards, exactly as the checks did before streaming; the two
+must give the same floats, whether the pairs form one slab or several.
 """
 
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +31,7 @@ from qch import (
     build_phi,
     build_pi,
     build_psi,
+    check_kahler_symmetries,
     combine,
     curv_dot,
     make_space,
@@ -107,21 +110,26 @@ def dense_defects(n, seed, trials=TRIALS, coeff_range=5.0):
     return out
 
 
-def _pairs(d, step):
-    """The flattened (U, V) pair ranges of slabs of ``step`` pairs at dim ``d``."""
-    return [(lo, min(lo + step, d * d)) for lo in range(0, d * d, step)]
+def _pairs(count, step):
+    """The ranges of slabs of ``step`` pairs over a stack of ``count`` pairs."""
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-# the default budget (one slab up to d = 6, two 32-pair slabs at d = 8), one
-# that splits d = 4 into 12 + 4 pairs, d = 6 into 2-pair slabs and d = 8 into
-# single pairs, one that splits d = 6 into 24 + 12 and d = 8 into 7-pair slabs
-# and a last single pair, and one that splits d = 6 and 8 into single pairs
-# (d = 4 into 5 + 5 + 5 + 1)
+def _upper(d):
+    """Number of pairs U < V at dim ``d``."""
+    return d * (d - 1) // 2
+
+
+# the checks run the 6, 15 and 28 pairs U < V at d = 4, 6 and 8: the default
+# budget forms each as one slab, one budget splits d = 6 into 2-pair slabs
+# and a last single pair and d = 8 into single pairs, one splits d = 8 into
+# four 7-pair slabs, and one splits d = 4 into 5 + 1 and d = 6 and 8 into
+# single pairs
 @pytest.mark.parametrize("budget,slabs", [
-    (None, {4: _pairs(4, 16), 6: _pairs(6, 36), 8: _pairs(8, 32)}),
-    (12 * 8 * 4**4, {4: _pairs(4, 12), 6: _pairs(6, 2), 8: _pairs(8, 1)}),
-    (24 * 8 * 6**4, {4: _pairs(4, 16), 6: _pairs(6, 24), 8: _pairs(8, 7)}),
-    (8 * 6**4, {4: _pairs(4, 5), 6: _pairs(6, 1), 8: _pairs(8, 1)}),
+    (None, {4: _pairs(6, 6), 6: _pairs(15, 15), 8: _pairs(28, 28)}),
+    (12 * 8 * 4**4, {4: _pairs(6, 6), 6: _pairs(15, 2), 8: _pairs(28, 1)}),
+    (24 * 8 * 6**4, {4: _pairs(6, 6), 6: _pairs(15, 15), 8: _pairs(28, 7)}),
+    (8 * 6**4, {4: _pairs(6, 5), 6: _pairs(15, 1), 8: _pairs(28, 1)}),
 ])
 def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     if budget is not None:
@@ -144,6 +152,95 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     assert {d: sorted(pairs) for d, pairs in seen.items()} == slabs
 
 
+def _force_all_pairs(monkeypatch):
+    """Make every actor's stack the d*d pairs, as for an actor that fails the
+    antisymmetry gate; the symmetry check and its warning still run."""
+    real = derivation._checked_operators
+
+    def all_pairs(r):
+        real(r)
+        d = r.space.dim
+        return derivation.curvature_operators(r).reshape(d * d, d, d)
+
+    monkeypatch.setattr(derivation, "_checked_operators", all_pairs)
+
+
+def _record_stacks(monkeypatch):
+    """Record the stack length and pair range of every slab formed."""
+    real = derivation._action_slab
+    seen = []
+
+    def recording(ops, t, rk, lo, hi, out=None, term=None):
+        seen.append((len(ops), lo, hi))
+        return real(ops, t, rk, lo, hi, out, term)
+
+    monkeypatch.setattr(derivation, "_action_slab", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_upper_pairs_give_the_all_pairs_sups_bit_for_bit(monkeypatch, n):
+    d = 2 * n
+    for seed in (0, 1):
+        with monkeypatch.context() as m:
+            seen = _record_stacks(m)
+            short = run_suite([n], [seed], trials=TRIALS)
+        assert {count for count, _, _ in seen} == {_upper(d)}
+        with monkeypatch.context() as m:
+            _force_all_pairs(m)
+            seen = _record_stacks(m)
+            full = run_suite([n], [seed], trials=TRIALS)
+        assert {count for count, _, _ in seen} == {d * d}
+        checks = [(r.name, r.max_defect, r.tolerance, r.passed) for r in short]
+        assert checks == [(r.name, r.max_defect, r.tolerance, r.passed) for r in full]
+        assert DERIVATION_CHECKS <= {r.name for r in short}
+
+
+# -- the antisymmetry gate -------------------------------------------------------
+
+
+def _one_ulp_off(r):
+    """``r`` with its entry (1, 0, 0, 1), a pair U > V, moved up by one ulp."""
+    arr = np.array(r.tensor.entries)
+    arr[1, 0, 0, 1] = np.nextafter(arr[1, 0, 0, 1], np.inf)
+    return CurvatureTensor(Tensor(r.space.dim, (0, 4), arr), r.space)
+
+
+def test_an_actor_one_ulp_from_antisymmetric_runs_every_pair(monkeypatch):
+    sp = make_space(2)
+    d = sp.dim
+    pi = build_pi(sp)
+    off = _one_ulp_off(pi)
+    assert check_kahler_symmetries(off, tol=1e-8).passed  # so no warning either
+    assert len(derivation._checked_operators(pi)) == _upper(d)
+    assert len(derivation._checked_operators(off)) == d * d
+    dense_pi, dense_off = max_abs(curv_dot(pi, off)), max_abs(curv_dot(off, off))
+    seen = _record_stacks(monkeypatch)
+    # alone, and next to an actor that passes the gate
+    assert derivation.fused_sups([(off, off)]) == (dense_off,)
+    assert derivation.fused_sups([(pi, off), (off, off)]) == (dense_pi, dense_off)
+    assert seen == [(d * d, 0, d * d)] * 3
+    seen.clear()
+    derivation.fused_sups([(pi, off)])
+    assert seen == [(_upper(d), 0, _upper(d))]
+
+
+def test_a_noisy_phi_fails_with_the_all_pairs_defects(monkeypatch):
+    def table():
+        with pytest.warns(KahlerSymmetryWarning):
+            results = verify_multiplication_table(sp, phi_noise=1e-6, seed=4)
+        return [(r.name, r.max_defect, r.passed) for r in results]
+
+    for sp in (make_space(2), random_adapted_change(make_space(3), 1)):
+        short = table()
+        with monkeypatch.context() as m:
+            _force_all_pairs(m)
+            assert table() == short
+        failed = {name for name, _, passed in short if not passed}
+        assert failed == {"table:phi.pi=0", "table:psi.phi=0",
+                          "table:pi.phi=2phi.phi", "table:pi.psi=2phi.psi"}
+
+
 # -- every slot branch of the kernel against the loop oracle ---------------------
 
 
@@ -154,9 +251,8 @@ def test_kernel_matches_the_loop_oracle_pair_by_pair(n, valence):
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
     d = sp.dim
     t = np.random.default_rng([n, *valence]).standard_normal((d,) * sum(valence))
-    ops = derivation.curvature_operators(r)
-    oracle = np.stack([loop_endo_derive(ops[u, v], t, valence[0])
-                       for u in range(d) for v in range(d)])
+    ops = derivation.curvature_operators(r).reshape(d * d, d, d)
+    oracle = np.stack([loop_endo_derive(op, t, valence[0]) for op in ops])
     dense = curv_dot(r, Tensor(d, valence, t)).entries
     assert dense.shape == t.shape + (d, d)
     pair_major = np.moveaxis(dense, (-2, -1), (0, 1)).reshape((d * d,) + t.shape)
@@ -204,9 +300,9 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
 
     monkeypatch.setattr(derivation, "_action_slab", counting_slab)
     monkeypatch.setattr(derivation, "check_kahler_symmetries", counting_check)
-    monkeypatch.setattr(derivation, "SLAB_BYTES", 8 * 8 * 4**4)
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 4**4)
     derivation.fused_sups([(psi, pi), (pi, psi), (phi, psi), (psi, phi)])
-    assert slabs == [(0, 8)] * 4 + [(8, 16)] * 4
+    assert slabs == [(0, 4)] * 4 + [(4, 6)] * 4
     assert [id(r) for r in checks] == [id(psi), id(pi), id(phi)]
 
 
@@ -347,7 +443,7 @@ def test_cli_exit_codes_for_tolerance_and_breakdown(capsys):
 @pytest.mark.parametrize("pairs_per_slab", [32, 8, 1])
 def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
     # the product buffers and one term buffer are the only slab-sized arrays,
-    # whether d = 8 runs as 2, 8 or 64 slabs
+    # whether the 28 pairs U < V at d = 8 run as 1, 4 or 28 slabs
     sp = random_adapted_change(make_space(4), 3)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
@@ -364,6 +460,7 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
         ([(psi, pi), (pi, psi), (phi, psi), (psi, phi)], derivation._identity_form),
     ]:
         operators = {a: derivation._checked_operators(a) for a, _ in pairs}
+        assert all(ops.shape == (_upper(d), d, d) for ops in operators.values())
         tracemalloc.start()
         try:
             derivation.fused_sups(pairs, form)
@@ -376,31 +473,38 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
 
 
 def _peak_rss_mb(argv):
-    """Exit code and peak RSS in MB of ``qch`` run with ``argv`` in a fresh process."""
+    """Exit code, peak RSS in MB (NaN if the child died before reporting it)
+    and stderr of ``qch`` run with ``argv`` in a fresh process."""
     code = (
         "import resource, sys\n"
         "from qch.cli import main\n"
-        f"code = main({argv!r})\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "finally:\n"
+        "    print('peak_rss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=120, check=True,
+        capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    exit_code, peak_kb = (int(x) for x in proc.stdout.split()[-2:])
-    return exit_code, peak_kb / 1024
+    peak = re.search(r"^peak_rss_kb (\d+)$", proc.stdout, re.M)
+    return proc.returncode, int(peak[1]) / 1024 if peak else math.nan, proc.stderr
+
+
+def _assert_peak_below(argv, bound_mb):
+    exit_code, peak_mb, stderr = _peak_rss_mb(argv)
+    detail = f"exit code {exit_code}, peak RSS {peak_mb:.1f} MB, stderr tail: {stderr[-2000:]!r}"
+    assert exit_code == 0, detail
+    assert peak_mb < bound_mb, detail
 
 
 def test_theorem1_at_n10_stays_under_100_mb():
     # d = 20 runs one pair per slab, about 52 MB
-    exit_code, peak_mb = _peak_rss_mb(["verify", "theorem1", "--n", "10", "--trials", "1"])
-    assert exit_code == 0
-    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
+    _assert_peak_below(["verify", "theorem1", "--n", "10", "--trials", "1"], 100)
 
 
 def test_theorem1_at_n8_stays_under_300_mb():
     # dense (0,6) products put this run at about 0.7 GB; streamed, about 0.12 GB
-    exit_code, peak_mb = _peak_rss_mb(["verify", "theorem1", "--n", "8", "--trials", "1"])
-    assert exit_code == 0
-    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
+    _assert_peak_below(["verify", "theorem1", "--n", "8", "--trials", "1"], 300)
