@@ -81,8 +81,13 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
 
     Returns the profile with the admissible quadratic root; among two
     admissible roots the one of smaller magnitude wins (ties break toward the
-    larger root).  Raises ``ValueError`` on bad parameters and
-    :class:`NoAdmissibleRootError` if no root keeps r' > 0 on (0, L).
+    larger root).  Raises ``ValueError`` on bad parameters,
+    :class:`NoAdmissibleRootError` if no root keeps r' > 0 on (0, L), and
+    :class:`~qch.derivation.NumericBreakdownError` when the quadratic's
+    computation raises an overflow or divides by an underflowed zero (with
+    r0 = 1: L below about 1e-53 or above about 1e77).  Where products
+    overflow to inf without raising (r0 = 1, L from about 1e39 to 1e77), the
+    discriminant is NaN and the result is :class:`NoAdmissibleRootError`.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise ValueError("r0 must be a positive finite number")
@@ -90,28 +95,35 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
         raise ValueError("L must be a positive finite number")
     k = _checked_int(k, 1, "factor curvature index k")
     n = _checked_int(n, 2, "complex dimension n")
-    # Python floats: an overflow below gives inf, where numpy scalars would warn
+    # Python floats: a product that overflows gives inf, where numpy scalars would warn
     r0, L = float(r0), float(L)
 
     s = 2.0 * k / n
-    g0 = s / (2.0 * r0 * L)
-
     # r(L) = A + B*g1 and r''(L) = -(C + D*g1); the right-hand condition
     # 2 r(L) r''(L) = -s becomes q(g1) = 2 (A + B g1)(C + D g1) - s = 0.
-    a_ = r0 + g0 * L**3 / 6.0
-    b_ = L**4 / 12.0
-    c_ = g0 * L
-    d_ = L**2
-    q2 = 2.0 * b_ * d_
-    q1 = 2.0 * (a_ * d_ + b_ * c_)
-    q0 = g0 * g0 * L**4 / 3.0  # equals 2*A*C - s exactly, without cancellation
+    # L**4 overflows for L above about 1e77, and q2 = L**6 / 6 (or r0 * L)
+    # underflows to zero for L below about 1e-53.
+    try:
+        g0 = s / (2.0 * r0 * L)
+        a_ = r0 + g0 * L**3 / 6.0
+        b_ = L**4 / 12.0
+        c_ = g0 * L
+        d_ = L**2
+        q2 = 2.0 * b_ * d_
+        q1 = 2.0 * (a_ * d_ + b_ * c_)
+        q0 = g0 * g0 * L**4 / 3.0  # equals 2*A*C - s exactly, without cancellation
 
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc < 0.0:
-        raise NoAdmissibleRootError("boundary quadratic has no real root")
-    sq = math.sqrt(disc)
-    root_far = (-q1 - sq) / (2.0 * q2)
-    root_near = -2.0 * q0 / (q1 + sq)  # stable form of the root nearer zero
+        disc = q1 * q1 - 4.0 * q2 * q0
+        if disc < 0.0:
+            raise NoAdmissibleRootError("boundary quadratic has no real root")
+        sq = math.sqrt(disc)
+        root_far = (-q1 - sq) / (2.0 * q2)
+        root_near = -2.0 * q0 / (q1 + sq)  # stable form of the root nearer zero
+    except (OverflowError, ZeroDivisionError):
+        raise NumericBreakdownError(
+            f"numeric breakdown in solve_profile: the boundary quadratic for r0 = {r0!r}, "
+            f"L = {L!r} leaves the float range"
+        ) from None
 
     def residual(g1: float) -> float:
         return 2.0 * (a_ + b_ * g1) * (c_ + d_ * g1) - s
@@ -137,7 +149,11 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
 
 def _domain(profile: Profile, t, lo: float, hi: float):
     arr = np.asarray(t, dtype=float)
-    if not ((arr >= lo).all() and (arr <= hi).all()):  # NaN fails both
+    if arr.ndim == 0:  # one float comparison: two on a 0-d array cost 9 us
+        inside = lo <= float(arr) <= hi
+    else:
+        inside = (arr >= lo).all() and (arr <= hi).all()
+    if not inside:  # NaN fails every comparison
         raise ValueError(f"t must lie in [{lo}, {hi}] for this profile")
     return arr
 

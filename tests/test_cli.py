@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qch import cli, profiles
 from qch import (
@@ -293,3 +295,70 @@ def test_a_run_that_does_not_fit_in_memory_is_refused(args, tmp_path, monkeypatc
     assert main(args + [str(out), "--json", str(tmp_path / "r.json")]) == 2
     assert "does not fit in memory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("e", ["-300", "-60", "80", "300"])
+def test_an_extreme_interval_length_exits_with_a_named_breakdown(e, capsys):
+    assert main(["profile", "solve", "--r0", "1", "--L", f"1e{e}", "--k", "1", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "numeric breakdown in solve_profile" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, flags", [
+    (["profile", "report", "--r0", "1", "--L", "2", "--k", "1", "--n", "2"], ("--json", "--csv")),
+    (["verify", "table", "--n", "2"], ("--json", "--dump")),
+])
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_two_outputs_on_one_file_are_a_usage_error_before_any_work(
+        args, flags, spelling, tmp_path, monkeypatch, capsys):
+    def refuse(*a, **kw):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(cli, "solve_profile", refuse)
+    first = str(tmp_path / "x")
+    second = first if spelling == "same" else f"{tmp_path}/./x"
+    assert main(args + [flags[0], first, flags[1], second]) == 2
+    assert f"usage error: {flags[0]} and {flags[1]} name the same file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_text = st.one_of(st.text(), st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀a')))
+_json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _text),
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(_text, children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_json_trees)
+def test_the_report_writer_is_json_dumps_with_indent(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("args", [
+    *(["verify", suite, "--n", "2", "--trials", "3"] for suite in SUITES),
+    ["profile", "report", "--r0", "1", "--L", "3", "--k", "1", "--n", "2", "--grid", "50"],
+    ["profile", "solve", "--r0", "1", "--L", "3", "--k", "1", "--n", "2"],
+])
+def test_every_report_is_written_as_json_dumps_with_indent(args, tmp_path, monkeypatch, capsys):
+    written = []
+    real = cli._json_text
+
+    def capturing(obj, *rest):
+        written.append(obj)
+        return real(obj, *rest)
+
+    monkeypatch.setattr(cli, "_json_text", capturing)
+    path = tmp_path / "r.json"
+    main(args + ["--json", str(path)])
+    capsys.readouterr()
+    report = written[0]  # the outermost call; the writer recurses through the module
+    assert report["command"] == " ".join(args[:2])
+    assert "timestamp" in report
+    assert path.read_text() == json.dumps(report, indent=2) + "\n"
+

@@ -360,3 +360,53 @@ def test_bisection_stops_at_adjacent_floats_on_a_long_interval():
     p = solve_profile(246.1193431145346, 145515.3435243633, 3, 4)
     (t,) = profile_report(p, grid_size=101).sign_change_points
     assert ab2(p, t * (1.0 - 1e-12)) < 0.0 < ab2(p, t * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("e", [-300, -60, 80, 300])
+def test_an_extreme_interval_length_is_a_named_breakdown(e):
+    # q2 = L**6 / 6 underflows to zero for L below about 1e-53, and L**4
+    # overflows for L above about 1e77
+    with pytest.raises(NumericBreakdownError, match="in solve_profile"):
+        solve_profile(1.0, 10.0**e, 1, 2)
+
+
+@pytest.mark.parametrize("e, gamma0, gamma1", [
+    (-6, 500000.0, -0.0416111555154302),
+    (-5, 49999.99999999999, -0.041666111554633525),
+    (-4, 5000.0, -0.04166666661458334),
+    (-3, 500.0, -0.041666661402823005),
+    (-2, 50.0, -0.04166614584129037),
+    (-1, 5.0, -0.041614662769694756),
+    (0, 0.5, -0.0371392089512238),
+    (1, 0.05, -0.004149050746972318),
+    (2, 0.005, -4.988057188894077e-05),
+    (3, 0.0005, -4.999880005759585e-07),
+    (4, 5e-05, -4.999998800000576e-09),
+    (5, 5e-06, -4.999999988e-11),
+    (6, 5e-07, -4.99999999988e-13),
+])
+def test_moderate_interval_lengths_solve_to_their_pinned_profiles(e, gamma0, gamma1):
+    L = 10.0**e
+    assert solve_profile(1.0, L, 1, 2) == profiles.Profile(
+        r0=1.0, L=L, s=1.0, gamma0=gamma0, gamma1=gamma1, k=1, n=2)
+
+
+def _bits(sample):
+    return [float(v).hex() for v in np.atleast_1d(sample)]
+
+
+def test_a_scalar_t_is_checked_against_the_exact_domain():
+    p = solve_profile(1.0, 3.0, 1, 2)
+    eps = p.L * 1e-3
+    domains = [(eval_profile, 0.0, p.L), (ab2, 0.0, p.L), (ab2_alternate, eps, p.L - eps)]
+    for evaluate, lo, hi in domains:
+        evaluate(p, lo)
+        evaluate(p, hi)  # both endpoints belong to the domain
+        below, above = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+        for bad in (below, above, math.inf, -math.inf, math.nan):
+            for t in (bad, np.float64(bad), np.array(bad), np.array([bad])):
+                with pytest.raises(ValueError, match="t must lie in"):
+                    evaluate(p, t)
+        # a Python int, a numpy scalar and a 0-d array give the same bits
+        values = [_bits(evaluate(p, t)) for t in (1, 1.0, np.float64(1.0), np.array(1.0))]
+        assert values[1:] == values[:-1]
