@@ -38,7 +38,6 @@ from .identities import (
     verify_theorem1,
 )
 from .profiles import (
-    NoAdmissibleRootError,
     Profile,
     ProfileReport,
     ProfileSample,
@@ -73,7 +72,6 @@ __all__ = [
     "CurvatureTensor",
     "HermitianSpace",
     "KahlerSymmetryWarning",
-    "NoAdmissibleRootError",
     "NumericBreakdownError",
     "Profile",
     "ProfileReport",

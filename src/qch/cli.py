@@ -8,8 +8,8 @@ significant digits so values round-trip exactly.  A report file holds
 built only when ``--json`` is given.  Every ``verify`` suite runs through
 :func:`~qch.identities.run_suite`, which validates ``--tol``, ``--trials`` and
 ``--coeff-range`` for every suite.  Exit status: 0 when every check passes, 1
-on a failed check, a numeric breakdown (including a profile boundary bound
-that is not below s) or an unsolvable profile, 2 on usage errors, among them a
+on a failed check or a numeric breakdown (including a profile boundary bound
+that is not below s), 2 on usage errors, among them a
 ``--json``, ``--csv`` or ``--dump`` path that is a directory, lies in no
 existing directory or names the same file as another of them (checked before
 any work), and 2 when the run does not fit in memory (no report file is
@@ -30,7 +30,6 @@ import numpy as np
 from .derivation import NumericBreakdownError
 from .identities import SUITES, CheckResult, run_suite
 from .profiles import (
-    NoAdmissibleRootError,
     Profile,
     _endpoint_checks,
     _require_bounds_below_s,
@@ -293,7 +292,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         return _run_profile(args)
-    except (NoAdmissibleRootError, NumericBreakdownError) as exc:
+    except NumericBreakdownError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # precondition violations are usage errors

@@ -8,26 +8,27 @@ basis pair at once yields a tensor with two extra covariant slots; the slot
 order of the result is (original slots..., U, V).
 
 For a (0,4) target that result has d^6 entries: 1.5 GB at real dimension
-d = 24.  The checks only need sup norms of linear combinations of such
-products, so :func:`fused_sups` streams them in slabs of at most
-:data:`SLAB_BYTES` (1 MB) and reduces every slab as soon as it is formed; no
-full (0,6) array is built.  A slab is a range of (U, V) pairs of an operator
-stack, pair axis first.  When every actor of a check has exactly
-antisymmetric operators, R(V, U) = -R(U, V) bit for bit, as the model blocks,
-their combinations and product curvatures do by construction, the stack
-holds only the d(d-1)/2 pairs U < V.  That is exact: negating an operator
-negates every rounded product and sum, so the product at (V, U) is the exact
-negation of the one at (U, V), and it is zero at U = V.  Any other actor (a
-perturbed block, a user tensor, one off by an ulp) runs all d^2 pairs.  A
-slab holds all pairs U < V up to d = 8, 13 pairs at d = 10 and one pair from
-d = 20 on.  Each slot's term of the action is one batched matmul that lands
-in that layout, and a check allocates one buffer per product and one term
-buffer, which every slab reuses; its ``form`` combines the product slabs in
-place.  A ``verify theorem1 --n 12 --trials 1`` run (d = 24) then takes
-1.9-2.7 s with a 60 MB peak RSS on a 2-core Xeon at 2.1 GHz, where the dense
-products would need about 7.6 GB.  :func:`curv_dot` returns the full product,
-computed by the same slab function over all d^2 pairs, with the pair axes
-moved back to the end.
+d = 24.  Every check is a linear relation ``c * Sum lhs = e * Sum rhs`` among
+such products and needs only sup norms, so :func:`fused_sups` streams the
+products in slabs of at most :data:`SLAB_BYTES` (1 MB), forms the relation in
+place and reduces every slab as soon as it is formed; no full (0,6) array is
+built.  A slab is a range of (U, V) pairs of an operator stack, pair axis
+first.  When every actor of a check has exactly antisymmetric operators,
+R(V, U) = -R(U, V) bit for bit, as the model blocks, their combinations and
+product curvatures do by construction, the stack holds only the d(d-1)/2
+pairs U < V.  That is exact: negating an operator negates every rounded
+product and sum, so each product, and each linear combination of products,
+at (V, U) is the exact negation of the one at (U, V), and zero at U = V.  Any
+other actor (a perturbed block, a user tensor, one off by an ulp) runs all
+d^2 pairs.  A slab holds all pairs U < V up to d = 8, 13 pairs at d = 10 and
+one pair from d = 20 on.  Each slot's term of the action is one batched
+matmul that lands in that layout, and a check allocates one buffer per
+product and one term buffer, which every slab reuses.  A
+``verify theorem1 --n 12 --trials 1`` run (d = 24) then takes 1.9-2.7 s with
+a 60 MB peak RSS on a 2-core Xeon at 2.1 GHz, where the dense products would
+need about 7.6 GB.  :func:`curv_dot` returns the full product, computed by the
+same slab function over all d^2 pairs, with the pair axes moved back to the
+end.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -187,39 +188,43 @@ def curv_dot(r: CurvatureTensor, t: Tensor | CurvatureTensor) -> Tensor:
     return Tensor(d, (rk, k + 2), np.moveaxis(out, 0, -1).reshape(t.entries.shape + (d, d)))
 
 
-def _identity_form(*products: np.ndarray) -> Sequence[np.ndarray]:
-    return products
+def _weighted_sum(slabs: Sequence[np.ndarray], coeff: float) -> np.ndarray:
+    """``coeff`` times the sum of ``slabs``, summed left to right in the first."""
+    total = slabs[0]
+    for slab in slabs[1:]:
+        np.add(total, slab, out=total)
+    if coeff != 1.0:
+        np.multiply(total, coeff, out=total)
+    return total
 
 
 def fused_sups(
-    pairs: Sequence[tuple[CurvatureTensor, CurvatureTensor]],
-    form: Callable[..., Sequence[np.ndarray]] = _identity_form,
+    lhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]],
+    rhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]] = (),
+    coeffs: tuple[float, float] = (1.0, 1.0),
     check: str = "derivation product",
-) -> tuple[float, ...]:
-    """Sup norms of arrays formed from the products ``actor . target``.
+) -> tuple[float, float]:
+    """Sup norms of the relation ``c * Sum lhs = e * Sum rhs`` of derivation products.
 
-    For each slab of (U, V) pairs, every product of ``pairs`` is computed
-    once, on that slab, and ``form`` receives the product slabs in the order
-    of ``pairs``.  It returns the arrays to reduce (a defect, and a
-    normaliser or guard, say), built entrywise, so their sup norms over all
-    slabs are the sup norms of the full arrays.  By default the products
-    themselves are reduced.  The slabs are buffers that every slab reuses:
-    ``form`` may overwrite them (with ``out=`` ufuncs, say) and return them,
-    and each returned array is overwritten by its absolute values as it is
-    reduced.  Each actor is symmetry-checked once per tensor and stage and, if it
-    fails, warns once per call.
+    ``lhs`` and ``rhs`` (which may be empty) list ``(actor, target)`` pairs,
+    each standing for the product ``actor . target``, and ``coeffs`` is
+    ``(c, e)``.  Returns the defect and the guard,
+    ``(sup|c Sum lhs - e Sum rhs|, sup|c Sum lhs|)``.  Each slab of (U, V)
+    pairs forms every product once, in a buffer that all slabs reuse; a side
+    is summed left to right in its first product's buffer, then scaled
+    (unless its coefficient is 1.0).  Each actor is symmetry-checked once per
+    tensor and stage and, if it fails, warns once per call.
 
     When every actor's operators are exactly antisymmetric (see
-    :func:`_checked_operators`), only the pairs U < V are formed: the product
-    at (V, U) is then the exact negation of the one at (U, V) and zero at
-    U = V, so for a ``form`` that is odd (a linear combination, say) the sup
-    norms are those over all pairs.  A call with any other actor forms all
-    d*d pairs.
-    Raises :class:`NumericBreakdownError`, naming ``check``, when a reduced
-    value is not finite.
+    :func:`_checked_operators`), only the pairs U < V are formed: the defect
+    and the guard, linear in the products, are then exactly negated at
+    (V, U) and zero at U = V.  A call with any other actor forms all d*d
+    pairs.  Raises :class:`NumericBreakdownError`, naming ``check``, when a
+    reduced value is not finite.
     """
-    if not pairs:
-        raise ValueError("fused_sups needs at least one (actor, target) pair")
+    if not lhs:
+        raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
+    pairs = [*lhs, *rhs]
     d = pairs[0][1].space.dim
     if any(c.space.dim != d for pair in pairs for c in pair):
         raise ValueError("curvature dims do not match")
@@ -235,7 +240,9 @@ def fused_sups(
     step = min(count, max(1, SLAB_BYTES // (8 * d**4)))
     products = [np.empty((step,) + (d,) * 4) for _ in pairs]
     term = np.empty_like(products[0])
-    sups = None
+    c, e = coeffs
+    split = len(lhs)
+    sups = [0.0, 0.0] if rhs else [0.0]
     # overflow is reported as a NumericBreakdownError
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, count, step):
@@ -244,13 +251,18 @@ def fused_sups(
                 _action_slab(ops[a], t.tensor.entries, 0, lo, hi, out, term)
                 for (a, t), out in zip(pairs, products)
             ]
-            values = [float(np.max(np.abs(x, out=x))) for x in form(*slabs)]
+            left = _weighted_sum(slabs[:split], c)
+            arrays = [left]
+            if rhs:  # the defect, formed in the right side's buffer, goes first
+                right = _weighted_sum(slabs[split:], e)
+                arrays.insert(0, np.subtract(left, right, out=right))
+            values = [float(np.max(np.abs(x, out=x))) for x in arrays]
             if not all(math.isfinite(v) for v in values):
                 raise NumericBreakdownError(
                     f"numeric breakdown in {check}: a derivation product is not finite"
                 )
-            sups = values if sups is None else [max(s, v) for s, v in zip(sups, values)]
-    return tuple(sups)
+            sups = [max(s, v) for s, v in zip(sups, values)]
+    return (sups[0], sups[-1])
 
 
 def pseudosymmetry_defect(r: CurvatureTensor, factor: float) -> float:
@@ -259,10 +271,5 @@ def pseudosymmetry_defect(r: CurvatureTensor, factor: float) -> float:
     factor = float(factor)
     if not math.isfinite(factor):
         raise ValueError(f"pseudosymmetry factor must be finite, got {factor!r}")
-
-    def defect(rr, pi_r):
-        np.multiply(pi_r, factor, out=pi_r)
-        return (np.subtract(rr, pi_r, out=pi_r),)
-
-    (sup,) = fused_sups([(r, r), (build_pi(r.space), r)], defect, "pseudosymmetry defect")
-    return sup
+    return fused_sups([(r, r)], [(build_pi(r.space), r)], (1.0, factor),
+                      "pseudosymmetry defect")[0]

@@ -5,11 +5,12 @@ defect, the effective tolerance, and a verdict; a result passes exactly when
 ``max_defect`` is finite and at most ``tolerance``.  Equality checks between
 two nonzero products guard against vacuous passes by requiring the left side
 to be comfortably nonzero first (a failed guard reports an infinite defect,
-which fails at any tolerance).  Every derivation product is reduced on the
-fly by :func:`~qch.derivation.fused_sups`; a product that overflows raises
-:class:`~qch.derivation.NumericBreakdownError` rather than giving a verdict.
-The base tolerance must be finite and positive.  All randomness is seeded
-PCG64, so identical inputs and seeds reproduce identical results.
+which fails at any tolerance).  Every derivation check is a linear relation
+among products, reduced on the fly by :func:`~qch.derivation.fused_sups`; a
+product that overflows raises :class:`~qch.derivation.NumericBreakdownError`
+rather than giving a verdict.  The base tolerance must be finite and
+positive.  All randomness is seeded PCG64, so identical inputs and seeds
+reproduce identical results.
 """
 
 from __future__ import annotations
@@ -59,12 +60,7 @@ class CheckResult:
 
 
 def _result(name: str, space: HermitianSpace, seed: int, defect: float,
-            tolerance: float, started: float, guard: float = math.inf,
-            tol: float = 0.0) -> CheckResult:
-    """The verdict of a check; a ``guard`` (a compared side's sup norm) at
-    most ``10 * tol`` makes the check vacuous, reported as an infinite defect."""
-    if guard <= 10.0 * tol:
-        defect = math.inf
+            tolerance: float, started: float) -> CheckResult:
     return CheckResult(
         name=name,
         n=space.n,
@@ -89,10 +85,22 @@ def _check_draws(trials: int, coeff_range: float) -> int:
     return trials
 
 
-def _doubled_rhs(lhs, rhs):
-    """``lhs - 2 rhs`` and ``lhs``, formed in place over the slabs."""
-    np.multiply(rhs, 2.0, out=rhs)
-    return np.subtract(lhs, rhs, out=rhs), lhs
+def _relations(space: HermitianSpace, seed: int, tol: float, rows) -> list[CheckResult]:
+    """Check each row ``(name, lhs, rhs, (c, e))``, the relation
+    ``c * Sum lhs = e * Sum rhs`` (see :func:`~qch.derivation.fused_sups`),
+    to ``tol * (1 + |A| |T|)`` for the first product ``A . T`` of ``lhs``.  A
+    row with a non-empty ``rhs`` is vacuous, reported as an infinite defect,
+    when its guard ``sup|c * Sum lhs|`` is at most ``10 * tol``."""
+    results = []
+    for name, lhs, rhs, coeffs in rows:
+        started = time.perf_counter()
+        defect, guard = fused_sups(lhs, rhs, coeffs, name)
+        if rhs and guard <= 10.0 * tol:
+            defect = math.inf
+        actor, target = lhs[0]
+        tol_eff = tol * (1.0 + max_abs(actor.tensor) * max_abs(target.tensor))
+        results.append(_result(name, space, seed, defect, tol_eff, started))
+    return results
 
 
 def verify_multiplication_table(
@@ -113,69 +121,27 @@ def verify_multiplication_table(
     if phi_noise:
         noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=phi.tensor.entries.shape)
         phi = phi + phi_noise * Tensor(space.dim, (0, 4), noise)
-    results = []
-
-    zero_cases = [
-        ("table:pi.pi=0", pi, pi),
-        ("table:phi.pi=0", phi, pi),
-        ("table:psi.pi=0", psi, pi),
-        ("table:psi.phi=0", psi, phi),
-        ("table:psi.psi=0", psi, psi),
-    ]
-    for name, actor, target in zero_cases:
-        started = time.perf_counter()
-        (defect,) = fused_sups([(actor, target)], check=name)
-        tol_eff = tol * (1.0 + max_abs(actor.tensor) * max_abs(target.tensor))
-        results.append(_result(name, space, seed, defect, tol_eff, started))
-
-    double_cases = [
-        ("table:pi.phi=2phi.phi", phi),
-        ("table:pi.psi=2phi.psi", psi),
-    ]
-    for name, target in double_cases:
-        started = time.perf_counter()
-        defect, guard = fused_sups([(pi, target), (phi, target)], _doubled_rhs, name)
-        tol_eff = tol * (1.0 + max_abs(pi.tensor) * max_abs(target.tensor))
-        results.append(_result(name, space, seed, defect, tol_eff, started, guard, tol))
-    return results
+    return _relations(space, seed, tol, [
+        ("table:pi.pi=0", [(pi, pi)], [], (1.0, 1.0)),
+        ("table:phi.pi=0", [(phi, pi)], [], (1.0, 1.0)),
+        ("table:psi.pi=0", [(psi, pi)], [], (1.0, 1.0)),
+        ("table:psi.phi=0", [(psi, phi)], [], (1.0, 1.0)),
+        ("table:psi.psi=0", [(psi, psi)], [], (1.0, 1.0)),
+        ("table:pi.phi=2phi.phi", [(pi, phi)], [(phi, phi)], (1.0, 2.0)),
+        ("table:pi.psi=2phi.psi", [(pi, psi)], [(phi, psi)], (1.0, 2.0)),
+    ])
 
 
 def verify_eq32(space: HermitianSpace, tol: float = 1e-10, seed: int = 0) -> list[CheckResult]:
     """The three coupled relations among the seven products."""
     _check_tol(tol)
     pi, phi, psi = build_pi(space), build_phi(space), build_psi(space)
-    results = []
-
-    def doubled(phi_phi, phi_pi, pi_phi):
-        lhs = np.multiply(phi_phi, 2.0, out=phi_phi)
-        rhs = np.add(phi_pi, pi_phi, out=phi_pi)
-        return np.subtract(lhs, rhs, out=rhs), lhs
-
-    name = "eq32:2phi.phi=phi.pi+pi.phi"
-    started = time.perf_counter()
-    defect, guard = fused_sups([(phi, phi), (phi, pi), (pi, phi)], doubled, name)
-    tol_eff = tol * (1.0 + max_abs(phi.tensor) ** 2)
-    results.append(_result(name, space, seed, defect, tol_eff, started, guard, tol))
-
-    name = "eq32:psi.psi=0"
-    started = time.perf_counter()
-    (defect,) = fused_sups([(psi, psi)], check=name)
-    tol_eff = tol * (1.0 + max_abs(psi.tensor) ** 2)
-    results.append(_result(name, space, seed, defect, tol_eff, started))
-
-    def exchanged(psi_pi, pi_psi, phi_psi, psi_phi):
-        lhs = np.add(psi_pi, pi_psi, out=psi_pi)
-        rhs = np.multiply(np.add(phi_psi, psi_phi, out=phi_psi), 2.0, out=phi_psi)
-        return np.subtract(lhs, rhs, out=rhs), lhs
-
-    name = "eq32:psi.pi+pi.psi=2(phi.psi+psi.phi)"
-    started = time.perf_counter()
-    defect, guard = fused_sups(
-        [(psi, pi), (pi, psi), (phi, psi), (psi, phi)], exchanged, name
-    )
-    tol_eff = tol * (1.0 + max_abs(pi.tensor) * max_abs(psi.tensor))
-    results.append(_result(name, space, seed, defect, tol_eff, started, guard, tol))
-    return results
+    return _relations(space, seed, tol, [
+        ("eq32:2phi.phi=phi.pi+pi.phi", [(phi, phi)], [(phi, pi), (pi, phi)], (2.0, 1.0)),
+        ("eq32:psi.psi=0", [(psi, psi)], [], (1.0, 1.0)),
+        ("eq32:psi.pi+pi.psi=2(phi.psi+psi.phi)",
+         [(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0)),
+    ])
 
 
 def verify_theorem1(
@@ -200,13 +166,7 @@ def verify_theorem1(
     for _ in range(trials):
         a, b, c = rng.uniform(-coeff_range, coeff_range, size=3)
         r = combine(QCHCoefficients(a, b, c), space)
-        factor = float(a + b / 2.0)
-
-        def defect_and_rr(rr, pi_r):
-            np.multiply(pi_r, factor, out=pi_r)
-            return np.subtract(rr, pi_r, out=pi_r), rr
-
-        defect, rr = fused_sups([(r, r), (pi, r)], defect_and_rr, name)
+        defect, rr = fused_sups([(r, r)], [(pi, r)], (1.0, float(a + b / 2.0)), name)
         worst = max(worst, defect / (1.0 + rr))
     return _result(name, space, seed, worst, tol, started)
 
@@ -241,14 +201,14 @@ def verify_product_route(
     name = "product:semisymmetric_opposite_plane"
     started = time.perf_counter()
     opposite = product_curvature(k, -k, space)
-    (defect,) = fused_sups([(opposite, opposite)], check=name)
+    defect, _ = fused_sups([(opposite, opposite)], check=name)
     results.append(_result(name, space, seed, defect, tol * (1.0 + k * k), started))
 
     name = "product:semisymmetric_unit_block"
     started = time.perf_counter()
     d_total = k + l
     unit_block = product_curvature(1.0, d_total - 1.0, space)
-    (defect,) = fused_sups([(unit_block, unit_block)], check=name)
+    defect, _ = fused_sups([(unit_block, unit_block)], check=name)
     results.append(
         _result(name, space, seed, defect, tol * (1.0 + d_total * d_total), started)
     )
@@ -284,16 +244,18 @@ def run_suite(
     ``product`` runs that verifier alone, and ``all`` runs the four in that
     order.  For each pair the stage is a seeded random adapted frame, so the
     suite also exercises basis independence; the product-route factor
-    curvatures are drawn from the same seeded stream.  ``tol``, ``trials`` and
-    ``coeff_range`` are validated before any work, whatever the suite.  An
-    empty ``n_list`` yields an empty report.
+    curvatures are drawn from the same seeded stream.  Every ``n`` (an integer
+    >= 2) and seed (an integer >= 0), ``tol``, ``trials`` and ``coeff_range``
+    are validated before any work, whatever the suite.  An empty ``n_list``
+    yields an empty report.
     """
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {', '.join(SUITES)}, got {suite!r}")
     _check_tol(tol)
     trials = _check_draws(trials, coeff_range)
+    n_list = [_checked_int(n, 2, "complex dimension n") for n in n_list]
+    seeds = [_checked_int(seed, 0, "seed") for seed in seeds]
     results: list[CheckResult] = []
-    seeds = list(seeds)
     for n in n_list:
         for seed in seeds:
             space = random_adapted_change(make_space(n), seed)

@@ -8,9 +8,9 @@ f = 2 r r' / s.
 
 The derivative is taken as the quartic ansatz r'(t) = t (L - t) (g0 + g1 t):
 the left condition fixes g0 = s / (2 r0 L), and the right condition is a
-quadratic in g1 whose admissible root (r' > 0 inside) is selected
-deterministically.  The curvature combination a + b/2 carried by the profile
-is -4 r''/r; it is negative at 0, positive at L, and changes sign inside.
+quadratic in g1 with exactly one admissible root (r' > 0 inside).  The
+curvature combination a + b/2 carried by the profile is -4 r''/r; it is
+negative at 0, positive at L, and changes sign inside.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "Profile",
     "ProfileSample",
     "ProfileReport",
-    "NoAdmissibleRootError",
     "solve_profile",
     "eval_profile",
     "ab2",
@@ -38,10 +37,6 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-12
-
-
-class NoAdmissibleRootError(RuntimeError):
-    """The boundary quadratic has no root keeping r' positive inside (0, L)."""
 
 
 @dataclass(frozen=True)
@@ -79,15 +74,15 @@ class ProfileReport:
 def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
     """Solve the endpoint conditions for the quartic ansatz.
 
-    Returns the profile with the admissible quadratic root; among two
-    admissible roots the one of smaller magnitude wins (ties break toward the
-    larger root).  Raises ``ValueError`` on bad parameters,
-    :class:`NoAdmissibleRootError` if no root keeps r' > 0 on (0, L), and
-    :class:`~qch.derivation.NumericBreakdownError` when the quadratic's
-    computation raises an overflow or divides by an underflowed zero (with
-    r0 = 1: L below about 1e-53 or above about 1e77).  Where products
-    overflow to inf without raising (r0 = 1, L from about 1e39 to 1e77), the
-    discriminant is NaN and the result is :class:`NoAdmissibleRootError`.
+    With x = g1 L / g0 the boundary quadratic is x^2 + m x + 2 = 0, where
+    m = 3 + 24 r0^2 / (s L^2) > 3, so its root nearer zero lies in (-1, 0),
+    where r' > 0 on (0, L), and the other lies below -2, where it is not.
+    The near root is taken, polished by Newton steps, and clamped to the line
+    g0 + g1 L = 0 where rounding puts it past.  Raises ``ValueError`` on bad
+    parameters and :class:`~qch.derivation.NumericBreakdownError` where the
+    quadratic leaves the float range: a coefficient or the root overflows,
+    q2 underflows to zero, or the discriminant is NaN or -inf (with r0 = 1:
+    L below about 1e-53 or above about 1e38).
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise ValueError("r0 must be a positive finite number")
@@ -102,7 +97,8 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
     # r(L) = A + B*g1 and r''(L) = -(C + D*g1); the right-hand condition
     # 2 r(L) r''(L) = -s becomes q(g1) = 2 (A + B g1)(C + D g1) - s = 0.
     # L**4 overflows for L above about 1e77, and q2 = L**6 / 6 (or r0 * L)
-    # underflows to zero for L below about 1e-53.
+    # underflows to zero for L below about 1e-53; q1 * q1 overflows to inf
+    # from about L = 1e39, and q0 overflows for tiny r0.
     try:
         g0 = s / (2.0 * r0 * L)
         a_ = r0 + g0 * L**3 / 6.0
@@ -112,18 +108,17 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
         q2 = 2.0 * b_ * d_
         q1 = 2.0 * (a_ * d_ + b_ * c_)
         q0 = g0 * g0 * L**4 / 3.0  # equals 2*A*C - s exactly, without cancellation
-
-        disc = q1 * q1 - 4.0 * q2 * q0
-        if disc < 0.0:
-            raise NoAdmissibleRootError("boundary quadratic has no real root")
-        sq = math.sqrt(disc)
-        root_far = (-q1 - sq) / (2.0 * q2)
-        root_near = -2.0 * q0 / (q1 + sq)  # stable form of the root nearer zero
+        disc = q1 * q1 - 4.0 * q2 * q0  # positive in exact arithmetic
+        # the stable form of the root nearer zero (-0.0 when disc alone
+        # overflows to inf, a start that the polish below refines)
+        g1 = -2.0 * q0 / (q1 + math.sqrt(disc)) if q2 > 0.0 and disc >= 0.0 else math.nan
     except (OverflowError, ZeroDivisionError):
+        g1 = math.nan
+    if not math.isfinite(g1):
         raise NumericBreakdownError(
             f"numeric breakdown in solve_profile: the boundary quadratic for r0 = {r0!r}, "
             f"L = {L!r} leaves the float range"
-        ) from None
+        )
 
     def residual(g1: float) -> float:
         return 2.0 * (a_ + b_ * g1) * (c_ + d_ * g1) - s
@@ -131,18 +126,12 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
     def residual_prime(g1: float) -> float:
         return 2.0 * (b_ * (c_ + d_ * g1) + d_ * (a_ + b_ * g1))
 
-    admissible = [g1 for g1 in (root_near, root_far) if g0 + g1 * L >= 0.0]
-    if not admissible:
-        raise NoAdmissibleRootError(
-            f"no quadratic root keeps r' > 0 on (0, {L}); roots {root_near}, {root_far}"
-        )
-    g1 = min(admissible, key=lambda x: (abs(x), -x))
     for _ in range(2):  # Newton polish against the boundary residual
         slope = residual_prime(g1)
         if slope == 0.0:
             break
         g1 -= residual(g1) / slope
-    if g0 + g1 * L < 0.0:  # polish must not cross the admissibility line
+    if g0 + g1 * L < 0.0:  # rounding must not cross the admissibility line
         g1 = -g0 / L
     return Profile(r0=r0, L=L, s=s, gamma0=g0, gamma1=float(g1), k=k, n=n)
 

@@ -142,6 +142,19 @@ def test_profile_report_files_match_the_golden_bytes(tmp_path, capsys):
     assert cpath.read_bytes() == (DATA / "profile_report.csv").read_bytes()
 
 
+def test_verify_report_matches_the_golden_bytes(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    assert main(["verify", "all", "--n", "3", "--seed", "42", "--trials", "5",
+                 "--no-timestamp", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == (DATA / "verify_all_n3.json").read_bytes()
+
+
+def test_a_negative_seed_is_a_usage_error(capsys):
+    assert main(["verify", "table", "--n", "2", "--seed", "-1"]) == 2
+    assert "usage error: seed must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_dump_round_trips_the_stage(tmp_path, capsys):
     path = tmp_path / "dump.txt"
     assert main(["verify", "table", "--n", "2", "--seed", "5",
@@ -297,7 +310,7 @@ def test_a_run_that_does_not_fit_in_memory_is_refused(args, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("e", ["-300", "-60", "80", "300"])
+@pytest.mark.parametrize("e", ["-300", "-60", "80", "300", "39"])
 def test_an_extreme_interval_length_exits_with_a_named_breakdown(e, capsys):
     assert main(["profile", "solve", "--r0", "1", "--L", f"1e{e}", "--k", "1", "--n", "2"]) == 1
     err = capsys.readouterr().err

@@ -124,16 +124,21 @@ def test_run_suite_shape_and_determinism():
     ({"suite": "nonsense"}, "suite"),
     ({"trials": 2.5}, "trials"),
     ({"trials": float("inf")}, "trials"),
+    ({"n_list": [2, 1]}, "complex dimension n"),
+    ({"n_list": [2, 2.5]}, "complex dimension n"),
+    ({"seeds": [0, -1]}, "seed"),
+    ({"seeds": [0, 1.5]}, "seed"),
+    ({"seeds": [0, float("nan")]}, "seed"),
 ])
 def test_run_suite_validates_before_any_verifier_runs(monkeypatch, kwargs, match):
     def refuse(*args, **kw):
         raise AssertionError("work started before validation")
 
-    for name in ("make_space", "verify_multiplication_table", "verify_eq32",
-                 "verify_theorem1", "verify_product_route"):
+    for name in ("make_space", "random_adapted_change", "verify_multiplication_table",
+                 "verify_eq32", "verify_theorem1", "verify_product_route"):
         monkeypatch.setattr(identities, name, refuse)
     with pytest.raises(ValueError, match=match):
-        run_suite([2], [0], **{"suite": "table", **kwargs})
+        run_suite(**{"n_list": [2], "seeds": [0], "suite": "table", **kwargs})
 
 
 @pytest.mark.parametrize("trials", [2.5, float("inf"), float("nan"), "2"])

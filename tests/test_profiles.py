@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import qch.profiles as profiles
 from qch import (
-    NoAdmissibleRootError,
     NumericBreakdownError,
     ab2,
     ab2_alternate,
@@ -307,8 +306,8 @@ def test_numpy_scalar_parameters_solve_like_python_floats():
         assert solve_profile(np.float64(r0), np.float64(1.0), np.int64(1), np.int64(2)) == (
             solve_profile(r0, 1.0, 1, 2)
         )
-    # g0**2 overflows: a named error, not a numpy overflow warning
-    with pytest.raises(NoAdmissibleRootError):
+    # g0**2 overflows: a named breakdown, not a numpy overflow warning
+    with pytest.raises(NumericBreakdownError, match="in solve_profile"):
         solve_profile(np.float64(1e-300), np.float64(1.0), 1, 2)
 
 
@@ -343,7 +342,7 @@ def test_any_admissible_input_gives_a_report_or_a_named_error(log_r0, log_L, k, 
     try:
         p = solve_profile(r0, L, k, n)
         rep = profile_report(p, grid_size=101)
-    except (NoAdmissibleRootError, NumericBreakdownError):
+    except NumericBreakdownError:
         return
     # r'' is a quadratic in t, so a+b/2 = -4 r''/r changes sign at most twice
     points = rep.sign_change_points
@@ -362,12 +361,47 @@ def test_bisection_stops_at_adjacent_floats_on_a_long_interval():
     assert ab2(p, t * (1.0 - 1e-12)) < 0.0 < ab2(p, t * (1.0 + 1e-12))
 
 
-@pytest.mark.parametrize("e", [-300, -60, 80, 300])
+@pytest.mark.parametrize("e", [-300, -60, 80, 300, 39, 77])
 def test_an_extreme_interval_length_is_a_named_breakdown(e):
-    # q2 = L**6 / 6 underflows to zero for L below about 1e-53, and L**4
-    # overflows for L above about 1e77
+    # q2 = L**6 / 6 underflows to zero for L below about 1e-53, q1 * q1
+    # overflows to inf from about 1e39 and L**4 raises above about 1e77
     with pytest.raises(NumericBreakdownError, match="in solve_profile"):
         solve_profile(1.0, 10.0**e, 1, 2)
+
+
+@pytest.mark.parametrize("r0, L", [(1e-270, 1e-38), (1e-300, 1.0), (1e-160, 1e3)])
+def test_an_overflowed_discriminant_is_a_named_breakdown(r0, L):
+    # q0 = g0**2 L**4 / 3 overflows to inf, so the discriminant is -inf or NaN;
+    # it is positive in exact arithmetic, so no "no real root" verdict is left
+    with pytest.raises(NumericBreakdownError, match="leaves the float range"):
+        solve_profile(r0, L, 1, 2)
+
+
+@pytest.mark.parametrize("e", [10, 11, 13, 14, 20, 21, 23, 24, 28, 31, 35, 38])
+def test_a_long_interval_solves_on_the_admissibility_line(e):
+    # m = 3 + 24 r0^2 / (s L^2) is 3 to within rounding, so the near root
+    # x = g1 L / g0 of x^2 + m x + 2 is -1 to within rounding: these once
+    # landed a few ulp past the line g0 + g1 L = 0 and had no admissible root
+    p = solve_profile(1.0, 10.0**e, 1, 2)
+    assert p.gamma0 + p.gamma1 * p.L >= 0.0
+    assert p.gamma1 * p.L / p.gamma0 == pytest.approx(-1.0, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_r0=st.floats(-3.0, 3.0),
+    log_L=st.floats(-3.0, 3.0),
+    k=st.integers(1, 4),
+    n=st.integers(2, 10),
+)
+def test_the_solver_takes_the_near_root_of_the_scaled_quadratic(log_r0, log_L, k, n):
+    r0, L = 10.0**log_r0, 10.0**log_L
+    p = solve_profile(r0, L, k, n)
+    m = 3.0 + 24.0 * r0**2 / (p.s * L**2)
+    far = -(m / 2.0 + math.sqrt(m * m / 4.0 - 2.0))
+    near = 2.0 / far  # the roots multiply to 2
+    assert -1.0 < near < 0.0 and far < -2.0
+    assert p.gamma1 * L / p.gamma0 == pytest.approx(near, rel=1e-8, abs=1e-15)
 
 
 @pytest.mark.parametrize("e, gamma0, gamma1", [

@@ -1,10 +1,11 @@
 """The streamed derivation kernel against the dense products it replaces.
 
-Every check of ``run_suite`` reduces derivation products slab by slab, over
-the pairs U < V when every actor is exactly antisymmetric.  The dense
-reference below forms each full product over all pairs with ``curv_dot`` and
-reduces it afterwards, exactly as the checks did before streaming; the two
-must give the same floats, whether the pairs form one slab or several.
+Every check of ``run_suite`` is a linear relation among derivation products,
+reduced slab by slab over the pairs U < V when every actor is exactly
+antisymmetric.  The dense reference below forms each full product over all
+pairs with ``curv_dot`` and reduces it afterwards, exactly as the checks did
+before streaming; the two must give the same floats, whether the pairs form
+one slab or several.
 """
 
 import itertools
@@ -215,13 +216,14 @@ def test_an_actor_one_ulp_from_antisymmetric_runs_every_pair(monkeypatch):
     assert len(derivation._checked_operators(pi)) == _upper(d)
     assert len(derivation._checked_operators(off)) == d * d
     dense_pi, dense_off = max_abs(curv_dot(pi, off)), max_abs(curv_dot(off, off))
+    dense_diff = max_abs(curv_dot(pi, off) - curv_dot(off, off))
     seen = _record_stacks(monkeypatch)
     # alone, and next to an actor that passes the gate
-    assert derivation.fused_sups([(off, off)]) == (dense_off,)
-    assert derivation.fused_sups([(pi, off), (off, off)]) == (dense_pi, dense_off)
+    assert derivation.fused_sups([(off, off)]) == (dense_off, dense_off)
+    assert derivation.fused_sups([(pi, off)], [(off, off)]) == (dense_diff, dense_pi)
     assert seen == [(d * d, 0, d * d)] * 3
     seen.clear()
-    derivation.fused_sups([(pi, off)])
+    assert derivation.fused_sups([(pi, off)]) == (dense_pi, dense_pi)
     assert seen == [(_upper(d), 0, _upper(d))]
 
 
@@ -266,12 +268,56 @@ def test_kernel_matches_the_loop_oracle_pair_by_pair(n, valence):
         assert np.array_equal(slab, pair_major[lo:hi])
 
 
-def test_a_form_may_return_the_same_slab_twice(monkeypatch):
+def test_an_empty_right_side_gives_the_left_sup_twice(monkeypatch):
     sp = random_adapted_change(make_space(3), 2)
     r = combine(QCHCoefficients(1.5, 0.4, -0.9), sp)
     dense = max_abs(curv_dot(r, r))
     monkeypatch.setattr(derivation, "SLAB_BYTES", 5 * 8 * 6**4)
-    assert derivation.fused_sups([(r, r)], lambda rr: (rr, rr)) == (dense, dense)
+    assert derivation.fused_sups([(r, r)]) == (dense, dense)
+    assert derivation.fused_sups([(r, r)], [], (-3.0, 7.0)) == (3.0 * dense, 3.0 * dense)
+
+
+def _dense_sum(pairs):
+    """The sum of ``curv_dot(actor, target)`` over ``pairs``, left to right."""
+    total = curv_dot(*pairs[0])
+    for actor, target in pairs[1:]:
+        total = total + curv_dot(actor, target)
+    return total
+
+
+# 8 * d**4 bytes hold one pair of a product at dim d
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("pairs_per_slab", [None, 1, 4, 5])
+def test_relations_equal_the_dense_oracle(monkeypatch, n, pairs_per_slab):
+    sp = random_adapted_change(make_space(n), 6)
+    d = sp.dim
+    pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
+    combo = combine(QCHCoefficients(0.8, -1.7, 0.6), sp)
+    pool = [pi, phi, psi, combo, _one_ulp_off(combo)]
+    if pairs_per_slab is not None:
+        monkeypatch.setattr(derivation, "SLAB_BYTES", pairs_per_slab * 8 * d**4)
+    rng = np.random.default_rng([n, pairs_per_slab or 0])
+
+    def draw_side():
+        return [tuple(pool[i] for i in rng.integers(len(pool), size=2))
+                for _ in range(rng.integers(1, 3))]
+
+    for trial in range(24):
+        c, e = (1.0 if rng.random() < 0.25 else float(rng.uniform(-3.0, 3.0)) for _ in "ce")
+        lhs, rhs = draw_side(), draw_side() if trial % 6 else []
+        left = c * _dense_sum(lhs)
+        defect = left - e * _dense_sum(rhs) if rhs else left
+        assert derivation.fused_sups(lhs, rhs, (c, e)) == (max_abs(defect), max_abs(left)), (
+            trial, c, e)
+
+
+def test_a_relation_needs_a_left_side_on_one_stage():
+    sp = make_space(2)
+    pi = build_pi(sp)
+    with pytest.raises(ValueError, match="at least one"):
+        derivation.fused_sups([], [(pi, pi)])
+    with pytest.raises(ValueError, match="dims do not match"):
+        derivation.fused_sups([(pi, pi)], [(build_pi(make_space(3)), pi)])
 
 
 def test_pseudosymmetry_defect_equals_the_dense_value(monkeypatch):
@@ -301,7 +347,7 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     monkeypatch.setattr(derivation, "_action_slab", counting_slab)
     monkeypatch.setattr(derivation, "check_kahler_symmetries", counting_check)
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 4**4)
-    derivation.fused_sups([(psi, pi), (pi, psi), (phi, psi), (psi, phi)])
+    derivation.fused_sups([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0))
     assert slabs == [(0, 4)] * 4 + [(4, 6)] * 4
     assert [id(r) for r in checks] == [id(psi), id(pi), id(phi)]
 
@@ -447,23 +493,20 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
     sp = random_adapted_change(make_space(4), 3)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
-
-    def theorem1_form(rr, pi_r):
-        np.multiply(pi_r, 2.0, out=pi_r)
-        return np.subtract(rr, pi_r, out=pi_r), rr
-
     d = sp.dim
     slab = pairs_per_slab * 8 * d**4
     monkeypatch.setattr(derivation, "SLAB_BYTES", slab)
-    for pairs, form in [
-        ([(r, r), (pi, r)], theorem1_form),
-        ([(psi, pi), (pi, psi), (phi, psi), (psi, phi)], derivation._identity_form),
+    # theorem1's relation, and one with both sides summed and both scaled
+    for lhs, rhs, coeffs in [
+        ([(r, r)], [(pi, r)], (1.0, 2.0)),
+        ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (3.0, 2.0)),
     ]:
+        pairs = lhs + rhs
         operators = {a: derivation._checked_operators(a) for a, _ in pairs}
         assert all(ops.shape == (_upper(d), d, d) for ops in operators.values())
         tracemalloc.start()
         try:
-            derivation.fused_sups(pairs, form)
+            derivation.fused_sups(lhs, rhs, coeffs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
