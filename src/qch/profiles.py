@@ -80,9 +80,10 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
     The near root is taken, polished by Newton steps, and clamped to the line
     g0 + g1 L = 0 where rounding puts it past.  Raises ``ValueError`` on bad
     parameters and :class:`~qch.derivation.NumericBreakdownError` where the
-    quadratic leaves the float range: a coefficient or the root overflows,
-    q2 underflows to zero, or the discriminant is NaN or -inf (with r0 = 1:
-    L below about 1e-53 or above about 1e38).
+    quadratic leaves the float range: 2 r0 L or a coefficient or the root
+    overflows (so g0 would be 0, or g1 not finite), q2 underflows to zero, or
+    the discriminant is NaN or -inf (with r0 = 1: L below about 1e-53 or
+    above about 1e38).
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise ValueError("r0 must be a positive finite number")
@@ -114,7 +115,7 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
         g1 = -2.0 * q0 / (q1 + math.sqrt(disc)) if q2 > 0.0 and disc >= 0.0 else math.nan
     except (OverflowError, ZeroDivisionError):
         g1 = math.nan
-    if not math.isfinite(g1):
+    if not (math.isfinite(g1) and g0 > 0.0):
         raise NumericBreakdownError(
             f"numeric breakdown in solve_profile: the boundary quadratic for r0 = {r0!r}, "
             f"L = {L!r} leaves the float range"

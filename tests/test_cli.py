@@ -42,6 +42,16 @@ def test_honest_failure_with_unreachable_tolerance(capsys):
     assert "FAIL" in out
 
 
+def test_a_vacuous_theorem1_run_fails(tmp_path, capsys):
+    # R.R of coefficients within 1e-6 is about 1e-12, below 10 * tol
+    path = tmp_path / "t1.json"
+    args = ["verify", "theorem1", "--n", "3", "--coeff-range", "1e-6", "--trials", "5"]
+    assert main(args + ["--json", str(path)]) == 1
+    assert "FAIL theorem1" in capsys.readouterr().out
+    (check,) = json.loads(path.read_text())["results"]
+    assert check["max_defect"] == "inf" and not check["passed"]
+
+
 def test_profile_exit_codes(capsys):
     base = ["profile", "solve", "--r0", "1", "--L", "3.141592653589793",
             "--k", "2", "--n", "4"]
@@ -219,6 +229,15 @@ def test_an_overflowed_profile_is_a_named_breakdown(capsys, r0, L, where):
     args = ["profile", "report", "--r0", r0, "--L", L, "--k", "1", "--n", "4"]
     assert main(args) == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["solve", "report"])
+def test_an_overflowed_left_coefficient_exits_with_a_named_breakdown(action, capsys):
+    # 2 r0 L overflows, so g0 = s / (2 r0 L) would be 0
+    assert main(["profile", action, "--r0", "1e300", "--L", "1e10", "--k", "1", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "numeric breakdown in solve_profile" in captured.err
+    assert "gamma0" not in captured.out
 
 
 @pytest.mark.parametrize("action", ["solve", "report"])

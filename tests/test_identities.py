@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,28 @@ def test_pseudosymmetry_statement_over_random_coefficients():
     assert result.passed
     assert result.name == "theorem1:r.r=(a+b/2)pi.r"
     assert result.max_defect < 1e-11
+
+
+@pytest.mark.parametrize("coeff_range", [1e-6, 1e-5])
+def test_a_theorem1_trial_with_a_tiny_r_dot_r_is_vacuous(coeff_range):
+    # sup|R.R| scales as coeff_range**2, at or below 10 * tol here, so the
+    # trial would pass whatever the factor is
+    result = verify_theorem1(make_space(3), trials=5, coeff_range=coeff_range, seed=42)
+    assert result.max_defect == math.inf and not result.passed
+
+
+def test_a_false_theorem1_factor_fails_at_a_small_coefficient_range(monkeypatch):
+    # 3 (a + b/2) is false, but its defect at coeff_range = 1e-5 (about 4e-11
+    # once) lies below tol = 1e-10; the vacuity guard fails it instead
+    real = identities.fused_sups
+
+    def tripled(lhs, rhs, coeffs, check):
+        return real(lhs, rhs, (coeffs[0], 3.0 * coeffs[1]), check)
+
+    monkeypatch.setattr(identities, "fused_sups", tripled)
+    sp = make_space(3)
+    for coeff_range in (1e-5, 5.0):
+        assert not verify_theorem1(sp, trials=20, coeff_range=coeff_range, seed=1).passed
 
 
 def test_pseudosymmetry_verifier_is_deterministic():

@@ -377,6 +377,19 @@ def test_an_overflowed_discriminant_is_a_named_breakdown(r0, L):
         solve_profile(r0, L, 1, 2)
 
 
+@pytest.mark.parametrize("r0, L", [(1e300, 1e10), (1e260, 1e48), (1e280, 1e28), (1e300, 1e51)])
+def test_an_overflowed_left_coefficient_is_a_named_breakdown(r0, L):
+    # 2 r0 L overflows to inf, so g0 = s / (2 r0 L) would be 0 and r' would
+    # vanish identically; these solved once to gamma0 = gamma1 = 0
+    with pytest.raises(NumericBreakdownError, match="in solve_profile"):
+        solve_profile(r0, L, 1, 2)
+
+
+def test_a_huge_finite_left_span_still_solves():
+    # 2 r0 L = 2e307 is finite, so g0 = 5e-308 is a tiny positive slope
+    assert solve_profile(1e300, 1e7, 1, 2).gamma0 == 5e-308
+
+
 @pytest.mark.parametrize("e", [10, 11, 13, 14, 20, 21, 23, 24, 28, 31, 35, 38])
 def test_a_long_interval_solves_on_the_admissibility_line(e):
     # m = 3 + 24 r0^2 / (s L^2) is 3 to within rounding, so the near root

@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -121,6 +122,27 @@ def _upper(d):
     return d * (d - 1) // 2
 
 
+def _row_blocks(d, cores):
+    """The (start, stop) row blocks of the products' first slot that a sweep
+    of several slabs on ``cores`` cores forms at dim ``d``: one per worker,
+    each of at least two rows."""
+    workers = min(cores, d // 2)
+    bounds = [d * w // workers for w in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+needs_openblas = pytest.mark.skipif(
+    derivation._openblas() is None, reason="numpy's bundled OpenBLAS thread control not found"
+)
+
+
+def _use_cores(monkeypatch, cores):
+    """Make ``cores`` cores available to the sweep, so a sweep of several
+    slabs runs on ``min(cores, d // 2)`` workers (one when OpenBLAS's thread
+    control is not found)."""
+    monkeypatch.setattr(derivation.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
 # the checks run the 6, 15 and 28 pairs U < V at d = 4, 6 and 8: the default
 # budget forms each as one slab, one budget splits d = 6 into 2-pair slabs
 # and a last single pair and d = 8 into single pairs, one splits d = 8 into
@@ -135,12 +157,13 @@ def _upper(d):
 def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     if budget is not None:
         monkeypatch.setattr(derivation, "SLAB_BYTES", budget)
+    _use_cores(monkeypatch, 2)
     real = derivation._action_slab
     seen = {}
 
-    def recording(ops, t, rk, lo, hi, out=None, term=None):
-        seen.setdefault(t.shape[0], set()).add((lo, hi))
-        return real(ops, t, rk, lo, hi, out, term)
+    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
+        seen.setdefault(t.shape[0], set()).add((lo, hi, rows.start, rows.stop))
+        return real(ops, t, rk, lo, hi, out, term, rows)
 
     for n, seed in itertools.product((2, 3, 4), (0, 1)):
         monkeypatch.setattr(derivation, "_action_slab", recording)
@@ -150,7 +173,11 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
         fused = {r.name: r.max_defect for r in results if r.name in DERIVATION_CHECKS}
         assert fused == dense, (n, seed)
         assert all(r.passed for r in results)
-    assert {d: sorted(pairs) for d, pairs in seen.items()} == slabs
+    # a sweep of several slabs splits its rows between the two workers
+    cores = 2 if derivation._openblas() else 1
+    blocks = {d: _row_blocks(d, cores if len(pairs) > 1 else 1) for d, pairs in slabs.items()}
+    assert seen == {d: {(*pair, *rows) for pair in slabs[d] for rows in blocks[d]}
+                    for d in slabs}
 
 
 def _force_all_pairs(monkeypatch):
@@ -167,13 +194,13 @@ def _force_all_pairs(monkeypatch):
 
 
 def _record_stacks(monkeypatch):
-    """Record the stack length and pair range of every slab formed."""
+    """Record the stack length, pair range and row block of every slab formed."""
     real = derivation._action_slab
     seen = []
 
-    def recording(ops, t, rk, lo, hi, out=None, term=None):
-        seen.append((len(ops), lo, hi))
-        return real(ops, t, rk, lo, hi, out, term)
+    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
+        seen.append((len(ops), lo, hi, rows.start, rows.stop))
+        return real(ops, t, rk, lo, hi, out, term, rows)
 
     monkeypatch.setattr(derivation, "_action_slab", recording)
     return seen
@@ -186,12 +213,12 @@ def test_upper_pairs_give_the_all_pairs_sups_bit_for_bit(monkeypatch, n):
         with monkeypatch.context() as m:
             seen = _record_stacks(m)
             short = run_suite([n], [seed], trials=TRIALS)
-        assert {count for count, _, _ in seen} == {_upper(d)}
+        assert {count for count, *_ in seen} == {_upper(d)}
         with monkeypatch.context() as m:
             _force_all_pairs(m)
             seen = _record_stacks(m)
             full = run_suite([n], [seed], trials=TRIALS)
-        assert {count for count, _, _ in seen} == {d * d}
+        assert {count for count, *_ in seen} == {d * d}
         checks = [(r.name, r.max_defect, r.tolerance, r.passed) for r in short]
         assert checks == [(r.name, r.max_defect, r.tolerance, r.passed) for r in full]
         assert DERIVATION_CHECKS <= {r.name for r in short}
@@ -221,10 +248,10 @@ def test_an_actor_one_ulp_from_antisymmetric_runs_every_pair(monkeypatch):
     # alone, and next to an actor that passes the gate
     assert derivation.fused_sups([(off, off)]) == (dense_off, dense_off)
     assert derivation.fused_sups([(pi, off)], [(off, off)]) == (dense_diff, dense_pi)
-    assert seen == [(d * d, 0, d * d)] * 3
+    assert seen == [(d * d, 0, d * d, 0, d)] * 3
     seen.clear()
     assert derivation.fused_sups([(pi, off)]) == (dense_pi, dense_pi)
-    assert seen == [(_upper(d), 0, _upper(d))]
+    assert seen == [(_upper(d), 0, _upper(d), 0, d)]
 
 
 def test_a_noisy_phi_fails_with_the_all_pairs_defects(monkeypatch):
@@ -247,7 +274,7 @@ def test_a_noisy_phi_fails_with_the_all_pairs_defects(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("valence", [(0, 2), (1, 1), (1, 2), (1, 3)])
+@pytest.mark.parametrize("valence", [(0, 2), (1, 1), (1, 2), (1, 3), (0, 4)])
 def test_kernel_matches_the_loop_oracle_pair_by_pair(n, valence):
     sp = random_adapted_change(make_space(n), 5)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
@@ -259,13 +286,122 @@ def test_kernel_matches_the_loop_oracle_pair_by_pair(n, valence):
     assert dense.shape == t.shape + (d, d)
     pair_major = np.moveaxis(dense, (-2, -1), (0, 1)).reshape((d * d,) + t.shape)
     assert np.allclose(pair_major, oracle, rtol=0.0, atol=1e-13)
-    # ragged slabs of 5 pairs, written into the same two buffers every time
-    out, term = np.empty((5,) + t.shape), np.empty((5,) + t.shape)
-    for lo in range(0, d * d, 5):
-        hi = min(lo + 5, d * d)
-        slab = derivation._action_slab(ops, t, valence[0], lo, hi, out, term)
-        assert np.shares_memory(slab, out)
-        assert np.array_equal(slab, pair_major[lo:hi])
+    # ragged slabs of 5 pairs, written into the same two buffers every time,
+    # over all rows of the first slot and over blocks of two or more rows
+    for rows in [slice(None), slice(0, 2), slice(1, d - 1), slice(2, d)]:
+        shape = (5,) + t[rows].shape
+        out, term = np.empty(shape), np.empty(shape)
+        for lo in range(0, d * d, 5):
+            hi = min(lo + 5, d * d)
+            slab = derivation._action_slab(ops, t, valence[0], lo, hi, out, term, rows)
+            assert np.shares_memory(slab, out)
+            assert np.array_equal(slab, pair_major[lo:hi, rows]), rows
+    # one row takes numpy's matrix-vector path: right, but not bit for bit
+    one_row = derivation._action_slab(ops, t, valence[0], 0, d * d, rows=slice(1, 2))
+    assert np.allclose(one_row, pair_major[:, 1:2], rtol=0.0, atol=1e-13)
+
+
+# -- workers over row blocks -------------------------------------------------------
+
+
+def _blas_threads():
+    get, _ = derivation._openblas()
+    return get()
+
+
+@needs_openblas
+def test_a_split_sweep_pins_blas_to_one_thread_and_restores_it(monkeypatch):
+    sp = random_adapted_change(make_space(4), 3)
+    pi = build_pi(sp)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
+    real = derivation._action_slab
+    during = set()
+
+    def recording(*args):
+        during.add((threading.get_ident(), _blas_threads()))
+        return real(*args)
+
+    monkeypatch.setattr(derivation, "_action_slab", recording)
+    get, put = derivation._openblas()
+    old = get()
+    put(2)
+    try:
+        derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))
+        assert {count for _, count in during} == {1}
+        assert len({ident for ident, _ in during}) == 2
+        assert get() == 2
+        # concurrent sweeps, of more workers than this box may have cores and
+        # with frequent thread switches, neither mix rows nor leave it pinned
+        _use_cores(monkeypatch, 3)
+        expected = derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))
+        got = []
+
+        def caller():
+            got.append(derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert got == [expected] * 4
+        assert get() == 2
+        huge = 1e200 * pi
+        with pytest.raises(NumericBreakdownError, match="huge product"):
+            derivation.fused_sups([(huge, huge)], check="huge product")
+        assert get() == 2
+    finally:
+        put(old)
+
+
+def test_a_missing_blas_symbol_runs_one_worker(monkeypatch):
+    class NoSymbols:  # a library that exports nothing
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(derivation.ctypes, "CDLL", NoSymbols)
+    assert derivation._openblas() is None
+    sp = random_adapted_change(make_space(4), 3)
+    pi = build_pi(sp)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    dense = max_abs(curv_dot(r, r) - 0.05 * curv_dot(pi, r))
+    _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
+    seen = _record_stacks(monkeypatch)
+    assert derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))[0] == dense
+    assert seen == [(_upper(8), lo, hi, 0, 8) for lo, hi in _pairs(_upper(8), 4) for _ in "rp"]
+
+
+@needs_openblas
+def test_a_breakdown_in_one_worker_reaches_the_caller_with_the_check_name(monkeypatch):
+    sp = random_adapted_change(make_space(4), 3)
+    pi = build_pi(sp)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
+    real = derivation._action_slab
+
+    def faulty(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
+        slab = real(ops, t, rk, lo, hi, out, term, rows)
+        if rows.start:  # only worker 1's rows overflow
+            slab.flat[0] = np.inf
+        return slab
+
+    monkeypatch.setattr(derivation, "_action_slab", faulty)
+    before, threads = _blas_threads(), threading.active_count()
+    name = "theorem1:r.r=(a+b/2)pi.r"
+    with pytest.raises(NumericBreakdownError, match=re.escape(name)):
+        derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05), name)
+    assert _blas_threads() == before
+    assert threading.active_count() == threads
 
 
 def test_an_empty_right_side_gives_the_left_sup_twice(monkeypatch):
@@ -332,13 +468,14 @@ def test_pseudosymmetry_defect_equals_the_dense_value(monkeypatch):
 def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatch):
     sp = make_space(2)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
+    _use_cores(monkeypatch, 2)
     slabs, checks = [], []
     real_slab = derivation._action_slab
     real_check = derivation.check_kahler_symmetries
 
-    def counting_slab(*args):
-        slabs.append(args[3:5])
-        return real_slab(*args)
+    def counting_slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
+        slabs.append((id(ops), id(t), lo, hi, rows.start, rows.stop))
+        return real_slab(ops, t, rk, lo, hi, out, term, rows)
 
     def counting_check(r, **kwargs):
         checks.append(r)
@@ -347,8 +484,14 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     monkeypatch.setattr(derivation, "_action_slab", counting_slab)
     monkeypatch.setattr(derivation, "check_kahler_symmetries", counting_check)
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 4**4)
-    derivation.fused_sups([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0))
-    assert slabs == [(0, 4)] * 4 + [(4, 6)] * 4
+    products = [(psi, pi), (pi, psi), (phi, psi), (psi, phi)]
+    derivation.fused_sups(products[:2], products[2:], (1.0, 2.0))
+    # every product of every (slab, row block) once; the two workers' slabs interleave
+    blocks = _row_blocks(4, 2 if derivation._openblas() else 1)
+    assert sorted(slabs) == sorted(
+        (id(derivation._checked_operators(a)), id(t.tensor.entries), lo, hi, *rows)
+        for a, t in products for lo, hi in [(0, 4), (4, 6)] for rows in blocks
+    )
     assert [id(r) for r in checks] == [id(psi), id(pi), id(phi)]
 
 
@@ -489,7 +632,8 @@ def test_cli_exit_codes_for_tolerance_and_breakdown(capsys):
 @pytest.mark.parametrize("pairs_per_slab", [32, 8, 1])
 def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
     # the product buffers and one term buffer are the only slab-sized arrays,
-    # whether the 28 pairs U < V at d = 8 run as 1, 4 or 28 slabs
+    # whether the 28 pairs U < V at d = 8 run as 1, 4 or 28 slabs, and however
+    # many workers split their rows
     sp = random_adapted_change(make_space(4), 3)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
@@ -504,15 +648,17 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
         pairs = lhs + rhs
         operators = {a: derivation._checked_operators(a) for a, _ in pairs}
         assert all(ops.shape == (_upper(d), d, d) for ops in operators.values())
-        tracemalloc.start()
-        try:
-            derivation.fused_sups(lhs, rhs, coeffs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        ops_bytes = sum(ops.nbytes for ops in operators.values())
-        # a per-slab copy of a slab (np.abs without out=, say) breaks this bound
-        assert peak <= (len(pairs) + 1) * slab + ops_bytes, (len(pairs), peak)
+        for cores in (1, 2, 3):
+            _use_cores(monkeypatch, cores)
+            tracemalloc.start()
+            try:
+                derivation.fused_sups(lhs, rhs, coeffs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ops_bytes = sum(ops.nbytes for ops in operators.values())
+            # a per-slab copy of a slab (np.abs without out=, say) breaks this bound
+            assert peak <= (len(pairs) + 1) * slab + ops_bytes, (len(pairs), cores, peak)
 
 
 def _peak_rss_mb(argv):
@@ -551,3 +697,39 @@ def test_theorem1_at_n10_stays_under_100_mb():
 def test_theorem1_at_n8_stays_under_300_mb():
     # dense (0,6) products put this run at about 0.7 GB; streamed, about 0.12 GB
     _assert_peak_below(["verify", "theorem1", "--n", "8", "--trials", "1"], 300)
+
+
+# -- every worker count against dense products at d = 8 and 12 --------------------
+# Defined after the peak-RSS tests: a child's ru_maxrss starts from the peak of
+# the process that spawned it, and a dense d = 12 product holds 24 MB.
+
+
+@needs_openblas
+@pytest.mark.parametrize("n", [4, 6])
+def test_every_worker_count_gives_the_dense_sups_bit_for_bit(monkeypatch, n):
+    # 5 pairs a slab: the 28 pairs U < V at d = 8 run as 6 slabs, the 66 at
+    # d = 12 as 14, and the all-pairs actor's 64 and 144 as 13 and 29
+    sp = random_adapted_change(make_space(n), 9)
+    d = sp.dim
+    pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
+    r = combine(QCHCoefficients(1.3, -0.6, 2.2), sp)
+    off = _one_ulp_off(r)
+    f = 1.3 - 0.3
+    relations = [
+        ([(r, r)], [(pi, r)], (1.0, f)),
+        ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0)),
+        ([(off, off)], [(pi, off)], (1.0, f)),
+    ]
+    dense = []
+    for lhs, rhs, (c, e) in relations:
+        left = c * _dense_sum(lhs)
+        dense.append((max_abs(left - e * _dense_sum(rhs)), max_abs(left)))
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 5 * 8 * d**4)
+    seen = _record_stacks(monkeypatch)
+    # 5 cores make 4 workers at d = 8: five would leave one-row blocks
+    for cores in (1, 2, 3, 5):
+        _use_cores(monkeypatch, cores)
+        seen.clear()
+        assert [derivation.fused_sups(*rel) for rel in relations] == dense, cores
+        blocks = {(r0, r1) for *_, r0, r1 in seen}
+        assert blocks == set(_row_blocks(d, cores)), cores
