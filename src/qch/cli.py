@@ -9,16 +9,17 @@ built only when ``--json`` is given.  Every ``verify`` suite runs through
 :func:`~qch.identities.run_suite`, which validates ``--tol``, ``--trials`` and
 ``--coeff-range`` for every suite.  Exit status: 0 when every check passes, 1
 on a failed check or a numeric breakdown (including a profile boundary bound
-that is not below s), 2 on usage errors, among them a
-``--json``, ``--csv`` or ``--dump`` path that is a directory, lies in no
-existing directory or names the same file as another of them (checked before
-any work), and 2 when the run does not fit in memory (no report file is
-written).
+that is not below s), 2 on usage errors, among them a ``--json``, ``--csv``
+or ``--dump`` path that is empty, a directory, in no existing directory or
+the same file as another of them, a ``--csv`` for ``profile solve``, and an
+``--eps`` that leaves no report grid point (all checked before any work), and
+2 when the run does not fit in memory (no report file is written).
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                          help="write the JSON report here")
     profile.add_argument("--csv", dest="csv_path", default=None, metavar="PATH",
-                         help="write the t,ab2 table here")
+                         help="write the t,ab2 table here (report only)")
     profile.add_argument("--no-timestamp", action="store_true",
                          help="omit the timestamp field from the report")
     return parser
@@ -107,14 +108,17 @@ def _check_dict(c: CheckResult) -> dict:
 
 def _check_output_paths(args) -> None:
     """Each ``--json``, ``--csv`` and ``--dump`` path must name a file in an
-    existing directory, and no two of them the same file; checked before any
-    work, without creating the file."""
+    existing directory, and no two of them the same file, and ``--csv`` is
+    for ``profile report`` only; checked before any work, without creating
+    the file."""
+    if getattr(args, "action", None) == "solve" and args.csv_path is not None:
+        raise ValueError("--csv is for profile report only")
     seen = {}
     for flag in ("json", "csv", "dump"):
         path = getattr(args, f"{flag}_path", None)
-        if not path:
+        if path is None:
             continue
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"--{flag} {path!r} is not a file in an existing directory")
         real = os.path.realpath(path)
         if real in seen:
@@ -217,14 +221,34 @@ def _profile_core_dict(p: Profile, residuals: tuple[float, float]) -> dict:
     }
 
 
+def _grid_meets_margin(L: float, grid: int, eps: float) -> bool:
+    """Whether ``np.linspace(0.0, L, grid)`` has a point in ``[eps, L - eps]``,
+    in linspace's float arithmetic but without forming the grid: point i is
+    ``i * (L / (grid - 1))`` (``i / (grid - 1) * L`` where that step is zero)
+    and the last is L.  The points rise with i, so the first at or past eps
+    decides."""
+    last = grid - 1
+    step = L / last
+
+    def point(i: int) -> float:
+        return L if i == last else i * step if step else i / last * L
+
+    i = bisect.bisect_left(range(grid), eps, key=point)
+    return i < grid and point(i) <= L - eps
+
+
 def _run_profile(args) -> int:
     if args.grid < 3:
         raise ValueError("--grid must be at least 3")
     if args.eps is not None and not (math.isfinite(args.eps) and 0 < args.eps < args.L / 2):
         raise ValueError("--eps must be finite, positive and less than L/2")
+    eps = args.eps if args.eps is not None else args.L * 1e-3
+    # an L that is not positive and finite is solve_profile's to name
+    if (args.action == "report" and 0 < args.L < math.inf
+            and not _grid_meets_margin(args.L, args.grid, eps)):
+        raise ValueError("--eps leaves no grid point for the alternate-form cross-check")
 
     p = solve_profile(args.r0, args.L, args.k, args.n)
-    eps = args.eps if args.eps is not None else p.L * 1e-3
     print(f"profile r0={p.r0} L={p.L} k={p.k} n={p.n}: s={p.s} "
           f"gamma0={p.gamma0:.12g} gamma1={p.gamma1:.12g}")
     if args.action == "report":  # the report carries the endpoint checks
@@ -246,8 +270,6 @@ def _run_profile(args) -> int:
         result["ab2_values"] = ab2_txt
         # cross-check the two algebraically equal forms away from the endpoints
         inside = (rep.grid >= eps) & (rep.grid <= p.L - eps)
-        if not inside.any():
-            raise ValueError("--eps leaves no grid point for the alternate-form cross-check")
         alternate = ab2_alternate(p, rep.grid[inside], eps=eps)
         form_gap = float(np.max(np.abs(rep.ab2_values[inside] - alternate)))
         result["alternate_max_diff"] = _fmt(form_gap)

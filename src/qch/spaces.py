@@ -56,12 +56,10 @@ class HermitianSpace:
             raise ValueError("basis_map must be invertible")
         bm.flags.writeable = False
         object.__setattr__(self, "basis_map", bm)
-        if self.g.valence != (0, 2) or self.g.dim != d:
-            raise ValueError("g must be a (0,2) tensor on R^d")
-        if self.J.valence != (1, 1) or self.J.dim != d:
-            raise ValueError("J must be a (1,1) tensor on R^d")
-        if self.p_D.valence != (1, 1) or self.p_D.dim != d:
-            raise ValueError("p_D must be a (1,1) tensor on R^d")
+        for what, t, (r, k) in (("g", self.g, (0, 2)), ("J", self.J, (1, 1)),
+                                ("p_D", self.p_D, (1, 1))):
+            if t.valence != (r, k) or t.dim != d:
+                raise ValueError(f"{what} must be a ({r},{k}) tensor on R^d")
         gm, jm, pm = self.g.entries, self.J.entries, self.p_D.entries
         eye = np.eye(d)
 
@@ -170,15 +168,8 @@ def structure_tensors(space: HermitianSpace) -> tuple[Tensor, Tensor, Tensor]:
     Omega(X,Y) = g(JX, Y) is the full fundamental 2-form.
     """
     gm, jm, pm = space.g.entries, space.J.entries, space.p_D.entries
-    d = space.dim
     h = pm.T @ gm @ pm
-    omega = jm.T @ h
-    big_omega = jm.T @ gm
-    return (
-        Tensor(d, (0, 2), h),
-        Tensor(d, (0, 2), omega),
-        Tensor(d, (0, 2), big_omega),
-    )
+    return tuple(Tensor(space.dim, (0, 2), m) for m in (h, jm.T @ h, jm.T @ gm))
 
 
 def project_D(space: HermitianSpace, x: np.ndarray) -> tuple[np.ndarray, float]:

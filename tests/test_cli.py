@@ -197,11 +197,29 @@ def test_coeff_range_must_be_finite_and_positive(coeff_range, capsys):
 
 @pytest.mark.parametrize("eps, grid", [("nan", "1000"), ("inf", "1000"), ("0.6", "1000"),
                                        ("0.45", "4")])
-def test_profile_cross_check_is_never_skipped(eps, grid, capsys):
-    # each margin leaves no grid point for the alternate-form cross-check
+def test_profile_cross_check_is_never_skipped(eps, grid, monkeypatch, capsys):
+    # each margin leaves no grid point for the alternate-form cross-check,
+    # which is refused before the solve
+    monkeypatch.setattr(cli, "solve_profile", lambda *a: pytest.fail("solve_profile ran"))
     args = ["profile", "report", "--r0", "1", "--L", "1", "--k", "1", "--n", "2"]
     assert main(args + ["--eps", eps, "--grid", grid]) == 2
-    assert "usage error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
+@pytest.mark.parametrize("L", [1.0, 3.141592653589793, 17.952562351447572, 1e-300, 5e-324,
+                               1.5e-323, 1e300])
+def test_the_margin_decision_matches_the_cross_check_mask(L):
+    # margins at, just inside and just outside each grid point, and the
+    # default L/1000; the two subnormal L make linspace's step underflow
+    for grid in range(3, 40):
+        points = np.linspace(0.0, L, grid)
+        margins = {L * 1e-3, *(p for p in points if 0 < p < L / 2)}
+        margins |= {np.nextafter(m, side) for m in set(margins) for side in (0.0, L)}
+        for eps in margins:
+            inside = (points >= eps) & (points <= L - eps)
+            assert cli._grid_meets_margin(L, grid, eps) == inside.any(), (grid, eps)
 
 
 def test_boundary_residual_bound_scales_with_rounding(capsys):
@@ -244,8 +262,11 @@ def test_an_overflowed_left_coefficient_exits_with_a_named_breakdown(action, cap
 def test_a_vacuous_boundary_bound_is_a_named_breakdown(action, tmp_path, capsys):
     # the terms of 2 r r'' at L cancel from about 1e9: the rounding bound,
     # 1184, exceeds s = 1, and the right residual is s itself
-    args = ["profile", action, "--r0", "1e-9", "--L", "1", "--k", "1", "--n", "2"]
-    assert main(args + ["--json", str(tmp_path / "p.json"), "--csv", str(tmp_path / "p.csv")]) == 1
+    args = ["profile", action, "--r0", "1e-9", "--L", "1", "--k", "1", "--n", "2",
+            "--json", str(tmp_path / "p.json")]
+    if action == "report":  # --csv is for the report only
+        args += ["--csv", str(tmp_path / "p.csv")]
+    assert main(args) == 1
     captured = capsys.readouterr()
     assert "numeric breakdown in boundary residuals" in captured.err
     assert "right=1.000e+00" in captured.out
@@ -292,6 +313,26 @@ def test_a_bad_output_path_is_a_usage_error_before_any_work(
     monkeypatch.setattr(cli, "solve_profile", refuse)
     path = tmp_path / "missing" / "x" if where == "missing_dir" else tmp_path
     assert main(args + [flag, str(path)]) == 2
+    assert f"usage error: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["verify", "table", "--n", "2", "--json", ""], "--json"),
+    (["verify", "table", "--n", "2", "--dump", ""], "--dump"),
+    (["profile", "report", "--r0", "1", "--L", "2", "--k", "1", "--n", "2", "--csv", ""], "--csv"),
+    (["profile", "solve", "--r0", "1", "--L", "2", "--k", "1", "--n", "2", "--csv", "x.csv"],
+     "--csv"),
+])
+def test_no_output_flag_is_silently_ignored(args, flag, tmp_path, monkeypatch, capsys):
+    # an empty path writes nothing, and solve writes no table
+    def refuse(*a, **kw):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(cli, "solve_profile", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
     assert f"usage error: {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 

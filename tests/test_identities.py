@@ -59,10 +59,11 @@ def test_table_defects_are_near_machine_precision():
         assert r.passed == (r.max_defect <= r.tolerance)
 
 
-def test_table_detects_seeded_corruption():
+def test_table_detects_seeded_corruption(noisy_phi):
     # corrupting the middle block must break at least the products involving it
+    noisy_phi(1e-6, seed=4)
     with pytest.warns(KahlerSymmetryWarning):
-        results = verify_multiplication_table(make_space(2), phi_noise=1e-6, seed=4)
+        results = verify_multiplication_table(make_space(2), seed=4)
     failed = {r.name for r in results if not r.passed}
     assert "table:phi.pi=0" in failed
     assert "table:pi.phi=2phi.phi" in failed
@@ -184,12 +185,28 @@ def test_run_suite_checks_each_curvature_once(trials, monkeypatch):
     assert len({r.tensor for r in checked}) == len(checked)
 
 
-def test_run_suite_reports_honest_failures_under_noise():
-    with pytest.warns(KahlerSymmetryWarning):
-        noisy = run_suite([2], [0], trials=2, phi_noise=1e-5)
-    assert any(not r.passed for r in noisy)
+@pytest.mark.parametrize("above", [False, True])
+def test_a_guard_of_ten_tol_is_vacuous_in_every_guarded_check(monkeypatch, above):
+    # at exactly 10 * tol a guarded row and theorem1 fail as vacuous; one
+    # float above it, both give a finite verdict
+    tol = 1e-10
+    guard = math.nextafter(10.0 * tol, math.inf) if above else 10.0 * tol
+    monkeypatch.setattr(identities, "fused_sups", lambda *a, **kw: (0.0, guard))
+    sp = make_space(2)
+    table = {r.name: r for r in verify_multiplication_table(sp, tol)}
+    for r in (table["table:pi.phi=2phi.phi"], verify_theorem1(sp, trials=3, tol=tol)):
+        assert math.isfinite(r.max_defect) == above
+        assert r.passed == above
+    assert table["table:pi.pi=0"].passed  # an unguarded row has no vacuity
+
+
+def test_run_suite_reports_honest_failures_under_noise(noisy_phi):
     clean = run_suite([2], [0], trials=2)
     assert all(r.passed for r in clean)
+    noisy_phi(1e-5, seed=0)
+    with pytest.warns(KahlerSymmetryWarning):
+        noisy = run_suite([2], [0], trials=2)
+    assert any(not r.passed for r in noisy)
 
 
 def test_defect_scales_quadratically_with_the_curvature():
