@@ -57,6 +57,7 @@ from .spaces import (
 )
 from .tensors import (
     Tensor,
+    UsageError,
     frobenius_inner,
     from_text,
     max_abs,
@@ -80,6 +81,7 @@ __all__ = [
     "SUITES",
     "SymmetryReport",
     "Tensor",
+    "UsageError",
     "ab2",
     "ab2_alternate",
     "boundary_residuals",

@@ -40,7 +40,7 @@ from .profiles import (
     solve_profile,
 )
 from .spaces import make_space, random_adapted_change, structure_tensors
-from .tensors import to_text
+from .tensors import UsageError, to_text
 
 __all__ = ["main", "build_parser"]
 
@@ -112,17 +112,17 @@ def _check_output_paths(args) -> None:
     for ``profile report`` only; checked before any work, without creating
     the file."""
     if getattr(args, "action", None) == "solve" and args.csv_path is not None:
-        raise ValueError("--csv is for profile report only")
+        raise UsageError("--csv is for profile report only")
     seen = {}
     for flag in ("json", "csv", "dump"):
         path = getattr(args, f"{flag}_path", None)
         if path is None:
             continue
         if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"--{flag} {path!r} is not a file in an existing directory")
+            raise UsageError(f"--{flag} {path!r} is not a file in an existing directory")
         real = os.path.realpath(path)
         if real in seen:
-            raise ValueError(f"--{seen[real]} and --{flag} name the same file {path!r}")
+            raise UsageError(f"--{seen[real]} and --{flag} name the same file {path!r}")
         seen[real] = flag
 
 
@@ -239,14 +239,14 @@ def _grid_meets_margin(L: float, grid: int, eps: float) -> bool:
 
 def _run_profile(args) -> int:
     if args.grid < 3:
-        raise ValueError("--grid must be at least 3")
+        raise UsageError("--grid must be at least 3")
     if args.eps is not None and not (math.isfinite(args.eps) and 0 < args.eps < args.L / 2):
-        raise ValueError("--eps must be finite, positive and less than L/2")
+        raise UsageError("--eps must be finite, positive and less than L/2")
     eps = args.eps if args.eps is not None else args.L * 1e-3
     # an L that is not positive and finite is solve_profile's to name
     if (args.action == "report" and 0 < args.L < math.inf
             and not _grid_meets_margin(args.L, args.grid, eps)):
-        raise ValueError("--eps leaves no grid point for the alternate-form cross-check")
+        raise UsageError("--eps leaves no grid point for the alternate-form cross-check")
 
     p = solve_profile(args.r0, args.L, args.k, args.n)
     print(f"profile r0={p.r0} L={p.L} k={p.k} n={p.n}: s={p.s} "
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except NumericBreakdownError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # precondition violations are usage errors
+    except UsageError as exc:  # arguments outside their domain, refused before any work
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # a run too large for this machine is refused, not a traceback

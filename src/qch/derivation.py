@@ -12,21 +12,25 @@ d = 24.  Every check is a linear relation ``c * Sum lhs = e * Sum rhs`` among
 such products and needs only sup norms, so :func:`fused_sups` streams the
 products in slabs of at most :data:`SLAB_BYTES` (1 MB), forms the relation in
 place and reduces every slab as soon as it is formed; no full (0,6) array is
-built.  A slab is a range of (U, V) pairs of an operator stack, pair axis
-first.  When every actor of a check has exactly antisymmetric operators,
-R(V, U) = -R(U, V) bit for bit, as the model blocks, their combinations and
-product curvatures do by construction, the stack holds only the d(d-1)/2
-pairs U < V.  That is exact: negating an operator negates every rounded
-product and sum, so each product, and each linear combination of products,
-at (V, U) is the exact negation of the one at (U, V), and zero at U = V.  Any
-other actor (a perturbed block, a user tensor, one off by an ulp) runs all
-d^2 pairs.  A slab holds all pairs U < V up to d = 8, 13 pairs at d = 10 and
-one pair from d = 20 on.  Each slot's term of the action is one batched
-matmul that lands in that layout, and a check allocates one buffer per
-product and one term buffer, which every slab reuses.
+built.  The kernel has a leading trial axis.  A slab is either several whole
+trials, whose buffers together hold at most SLAB_BYTES (theorem1's random
+draws, run in batches by :func:`pseudosymmetry_sups`: 28 trials at d = 4, 2
+at d = 6, one at d = 8), or a range of (U, V) pairs of one trial (a relation
+row is one trial; 13 pairs at d = 10, one from d = 20 on).  Each trial's
+matmuls have the shapes of a lone trial's, so batching changes no bit.  When
+every actor of a check has exactly antisymmetric operators, R(V, U) = -R(U, V)
+bit for bit, as the model blocks, their combinations and product curvatures
+do by construction, the stack holds only the d(d-1)/2 pairs U < V.  That is
+exact: negating an operator negates every rounded product and sum, so each
+product, and each linear combination of products, at (V, U) is the exact
+negation of the one at (U, V), and zero at U = V.  Any other actor (a
+perturbed block, a user tensor, one off by an ulp) runs all d^2 pairs.  Each
+slot's term of the action is one batched matmul that lands in that layout,
+and a check allocates one buffer per product and one term buffer, which
+every slab reuses.
 
-A sweep of more than one slab (d >= 10) runs on one worker per available core,
-at most d/2: the calling thread and a ``threading.Thread`` for each other.
+A sweep of pair ranges (d >= 10) runs on one worker per available core, at
+most d/2: the calling thread and a ``threading.Thread`` for each other.
 Every worker walks every slab but forms only its own block of rows of the
 products' first slot, in its own buffers of that many rows, so all workers
 together hold the bytes of one full set.  Meanwhile numpy's bundled OpenBLAS
@@ -35,28 +39,34 @@ would oversubscribe the cores) under a module lock, and its old count is
 restored when the last worker has joined.  Where its thread control is not
 found the sweep runs on the calling thread alone.  Each sup is a max over
 rows and slabs, and a block of two or more rows rounds every entry as the
-full product does, so the split changes no bit.  On a 2-core Xeon at 2.1 GHz
-one d = 24 theorem1 sweep then takes about 1.0-1.1 s instead of 1.8-1.9 s,
-where the dense products would need about 7.6 GB.  :func:`curv_dot` returns
-the full product, computed by the same slab function over all d^2 pairs,
-with the pair axes moved back to the end.
+full product does, so the split changes no bit.  :func:`curv_dot` returns the
+full product, computed by the same slab function over all d^2 pairs, with the
+pair axes moved back to the end.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import itertools
 import math
 import os
 import threading
 import warnings
 import weakref
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureTensor, build_pi, check_kahler_symmetries
-from .tensors import Tensor
+from .curvature import (
+    CurvatureTensor,
+    _combination,
+    _symmetry_defects,
+    build_pi,
+    check_kahler_symmetries,
+)
+from .spaces import HermitianSpace
+from .tensors import Tensor, UsageError
 
 __all__ = [
     "KahlerSymmetryWarning",
@@ -66,6 +76,7 @@ __all__ = [
     "curv_dot",
     "fused_sups",
     "pseudosymmetry_defect",
+    "pseudosymmetry_sups",
 ]
 
 _WARN_TOL = 1e-8
@@ -83,6 +94,9 @@ class NumericBreakdownError(ArithmeticError):
     """A derivation product overflowed: a reduced value is not finite."""
 
 
+_BREAKDOWN = "numeric breakdown in {}: a derivation product is not finite"
+
+
 def endo_derive(a: Tensor, t: Tensor) -> Tensor:
     """Derivation action of the endomorphism ``a`` on ``t``.
 
@@ -94,15 +108,30 @@ def endo_derive(a: Tensor, t: Tensor) -> Tensor:
         raise ValueError("endo_derive needs a (1,1) tensor as the acting endomorphism")
     if a.dim != t.dim:
         raise ValueError("endomorphism dim does not match tensor dim")
-    out = _action_slab(a.entries[None], t.entries, t.valence[0], 0, 1)[0]
+    out = _action_slab(a.entries[None, None], t.entries[None], t.valence[0], 0, 1)[0, 0]
     return Tensor(t.dim, t.valence, out)
 
 
 def curvature_operators(r: CurvatureTensor) -> np.ndarray:
     """All basis-pair endomorphisms at once: ``ops[u, v]`` is the matrix of
     R(e_u, e_v), i.e. ``ops[u, v, a, b] = g^{aw} R[u, v, b, w]``."""
-    ginv = np.linalg.inv(r.space.g.entries)
-    return np.einsum("aw,uvbw->uvab", ginv, r.tensor.entries)
+    return _operators(r.space, r.tensor.entries)
+
+
+def _operators(space: HermitianSpace, arr: np.ndarray) -> np.ndarray:
+    """:func:`curvature_operators` of each (0,4) array over the leading axes
+    of ``arr``."""
+    return np.einsum("aw,...uvbw->...uvab", np.linalg.inv(space.g.entries), arr)
+
+
+def _pair_stack(ops: np.ndarray) -> np.ndarray:
+    """The operators ``ops[..., u, v]`` with one pair axis: the d(d-1)/2 pairs
+    U < V in ``np.triu_indices`` order when R(V, U) = -R(U, V) bit for bit in
+    all of them, otherwise all d*d pairs ``U * d + V``."""
+    d = ops.shape[-1]
+    if np.array_equal(ops, -ops.swapaxes(-4, -3)):
+        return ops[(..., *np.triu_indices(d, 1), slice(None), slice(None))]
+    return ops.reshape(ops.shape[:-4] + (d * d, d, d))
 
 
 # Stage, operator stack and symmetry report of each curvature in use, keyed by
@@ -112,70 +141,68 @@ def curvature_operators(r: CurvatureTensor) -> np.ndarray:
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _checked_operators(r: CurvatureTensor) -> np.ndarray:
-    """Stacked curvature operators of ``r``, warning first if ``r`` fails the
-    Kahler-type symmetry check (at 1e-8 scaled).
+def _warn_asymmetric(defects) -> None:
+    warnings.warn(
+        f"curvature input fails Kahler-type symmetries (worst defect {max(defects):.3e})",
+        KahlerSymmetryWarning,
+        stacklevel=4,
+    )
 
-    When the operators are exactly antisymmetric, R(V, U) = -R(U, V) bit for
-    bit, the stack holds the d(d-1)/2 pairs U < V in ``np.triu_indices``
-    order; otherwise it holds all d*d pairs ``U * d + V``.  Both are computed
-    once per tensor and stage; the warning is repeated on every use.
+
+def _checked_operators(r: CurvatureTensor) -> np.ndarray:
+    """The (P, d, d) operator stack of ``r`` (see :func:`_pair_stack`),
+    warning first if ``r`` fails the Kahler-type symmetry check (at 1e-8
+    scaled).  Both are computed once per tensor and stage; the warning is
+    repeated on every use.
     """
     memo = _OPERATORS.get(r.tensor)
     if memo is None or memo[0]() is not r.space:
-        ops = curvature_operators(r)
-        d = r.space.dim
-        if np.array_equal(ops, -ops.swapaxes(0, 1)):
-            ops = ops[np.triu_indices(d, 1)]
-        else:
-            ops = ops.reshape(d * d, d, d)
-        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space), ops,
+        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space), _pair_stack(curvature_operators(r)),
                                        check_kahler_symmetries(r, tol=_WARN_TOL))
     _, ops, report = memo
     if not report.passed:
-        warnings.warn(
-            "curvature input fails Kahler-type symmetries "
-            f"(worst defect {max(report.defects().values()):.3e})",
-            KahlerSymmetryWarning,
-            stacklevel=3,
-        )
+        _warn_asymmetric(report.defects().values())
     return ops
 
 
 def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
                  out: np.ndarray | None = None, term: np.ndarray | None = None,
                  rows: slice = slice(None)) -> np.ndarray:
-    """Entries of R(U, V) . T for the pairs ``lo:hi`` of an operator stack,
-    restricted to the ``rows`` of the first slot of ``t``.
+    """Entries of R(U, V) . T for the pairs ``lo:hi`` of each trial's operator
+    stack, restricted to the ``rows`` of the first slot of ``t``.
 
-    ``ops`` is a (P, d, d) stack of curvature operators of R and ``t`` the
-    entries of a tensor with ``rk`` output slots.  The result has the pair
-    axis (``hi - lo`` pairs of the stack) first, then the slots of ``t``, the
-    first cut to ``rows``.  It is written into ``out`` and each slot's term
-    into ``term`` when they are given (arrays with at least ``hi - lo``
-    pairs), so a caller that keeps both across slabs allocates nothing per
-    slab.
+    ``ops`` is a (B, P, d, d) stack of curvature operators, one (P, d, d)
+    stack per trial, and ``t`` the (B, ...) entries of each trial's tensor
+    with ``rk`` output slots; either may hold one trial that all share.  The
+    result has the trial axis first, then the pair axis (``hi - lo`` pairs),
+    then the slots of ``t``, the first cut to ``rows``.  Each trial's matmuls
+    have the shapes of a single trial's, so batching trials changes no bit.
+    The result is written into ``out`` and each slot's term into ``term``
+    when they are given (contiguous arrays of at least the result's size),
+    so a caller that keeps both across slabs allocates nothing per slab.
     """
     d = ops.shape[-1]
-    ops = ops[lo:hi]
-    ops_t = ops.transpose(0, 2, 1)[:, None]
-    m = len(ops)
-    head = t[rows] if t.ndim else t
-    out = np.empty((m,) + head.shape) if out is None else out[:m]
-    term = np.empty_like(out) if term is None else term[:m]
+    ops = ops[:, lo:hi]
+    ops_t = ops.transpose(0, 1, 3, 2)[:, :, None]
+    nb, m = max(len(ops), len(t)), ops.shape[1]
+    head = t[:, rows] if t.ndim > 1 else t
+    shape = (nb, m) + head.shape[1:]
+    out, term = (np.empty(shape) if x is None else x.reshape(-1)[:math.prod(shape)].reshape(shape)
+                 for x in (out, term))
     dst = out
-    for slot in range(rk, t.ndim):
+    for slot in range(rk, t.ndim - 1):
         # -T(..., A X_slot, ...): one batched matmul over the slot's axis; on
         # the first slot the rows are the columns of A, on the others of T
-        right = d ** (t.ndim - slot - 1)
+        right = d ** (t.ndim - slot - 2)
         src = head if slot else t
-        left = src.size // (d * right)
+        left = src.size // (len(src) * d * right)
         if right == 1:
-            a = ops if slot else ops[:, :, rows]
-            np.matmul(src.reshape(left, d), a, out=dst.reshape(m, left, -1))
+            a = ops if slot else ops[..., rows]
+            np.matmul(src.reshape(len(src), 1, left, d), a, out=dst.reshape(nb, m, left, -1))
         else:
-            a_t = ops_t if slot else ops_t[:, :, rows]
-            np.matmul(a_t, src.reshape(left, d, right), out=dst.reshape(m, left, -1, right))
+            a_t = ops_t if slot else ops_t[:, :, :, rows]
+            np.matmul(a_t, src.reshape(len(src), 1, left, d, right),
+                      out=dst.reshape(nb, m, left, -1, right))
         if dst is out:
             np.negative(out, out=out)
             dst = term
@@ -183,7 +210,8 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
             np.subtract(out, dst, out=out)
     if rk == 1:
         # A(T(X_1, ..., X_k)) on the output slot
-        np.matmul(ops[:, rows], t.reshape(d, -1), out=dst.reshape(m, len(head), -1))
+        np.matmul(ops[:, :, rows], t.reshape(len(t), 1, d, -1),
+                  out=dst.reshape(nb, m, head.shape[1], -1))
         if dst is not out:
             np.add(out, dst, out=out)
     elif dst is out:
@@ -208,16 +236,18 @@ def curv_dot(r: CurvatureTensor, t: Tensor | CurvatureTensor) -> Tensor:
     rk, k = t.valence
     d = t.dim
     _checked_operators(r)  # the symmetry check and its warning
-    out = _action_slab(curvature_operators(r).reshape(d * d, d, d), t.entries, rk, 0, d * d)
+    ops = curvature_operators(r).reshape(1, d * d, d, d)
+    out = _action_slab(ops, t.entries[None], rk, 0, d * d)[0]
     return Tensor(d, (rk, k + 2), np.moveaxis(out, 0, -1).reshape(t.entries.shape + (d, d)))
 
 
-def _weighted_sum(slabs: Sequence[np.ndarray], coeff: float) -> np.ndarray:
-    """``coeff`` times the sum of ``slabs``, summed left to right in the first."""
+def _weighted_sum(slabs: Sequence[np.ndarray], coeff) -> np.ndarray:
+    """``coeff`` (a float, or one per trial) times the sum of ``slabs``,
+    summed left to right in the first; a coefficient of 1.0 is skipped."""
     total = slabs[0]
     for slab in slabs[1:]:
         np.add(total, slab, out=total)
-    if coeff != 1.0:
+    if np.any(coeff != 1.0):
         np.multiply(total, coeff, out=total)
     return total
 
@@ -243,98 +273,72 @@ def _openblas():
 _BLAS_LOCK = threading.Lock()
 
 
-def fused_sups(
-    lhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]],
-    rhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]] = (),
-    coeffs: tuple[float, float] = (1.0, 1.0),
-    check: str = "derivation product",
-) -> tuple[float, float]:
-    """Sup norms of the relation ``c * Sum lhs = e * Sum rhs`` of derivation products.
+def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | None = None
+          ) -> np.ndarray:
+    """Each trial's sups ``[sup|c Sum lhs - e Sum rhs|, sup|c Sum lhs|]`` of a
+    relation of products, or ``[sup|c Sum lhs|]`` with no right side.
 
-    ``lhs`` and ``rhs`` (which may be empty) list ``(actor, target)`` pairs,
-    each standing for the product ``actor . target``, and ``coeffs`` is
-    ``(c, e)``.  Returns the defect and the guard,
-    ``(sup|c Sum lhs - e Sum rhs|, sup|c Sum lhs|)``.  Each slab of (U, V)
-    pairs forms every product once, in a buffer that all slabs reuse; a side
-    is summed left to right in its first product's buffer, then scaled
-    (unless its coefficient is 1.0).  Each actor is symmetry-checked once per
-    tensor and stage and, if it fails, warns once per call.
-
-    When every actor's operators are exactly antisymmetric (see
-    :func:`_checked_operators`), only the pairs U < V are formed: the defect
-    and the guard, linear in the products, are then exactly negated at
-    (V, U) and zero at U = V.  A call with any other actor forms all d*d
-    pairs.  A call of more than one slab runs on one worker per available
-    core (at most d/2), each forming every slab for its own block of rows of
-    the products' first slot, with OpenBLAS pinned to one thread meanwhile;
-    the buffers of all workers together are the size of one full set.  A
-    sup is a max, so the split changes no bit.  Raises
-    :class:`NumericBreakdownError`, naming ``check``, when a reduced value is
-    not finite.
+    Product i acts with the (B, P, d, d) operator stack ``stacks[i]`` on the
+    (B, d, d, d, d) entries ``targets[i]``, either of which may hold one
+    trial that all B share; the first ``split`` products are the left side.
+    ``coeffs`` is ``(c, e)``, where ``e`` may be one float per trial.  A
+    value that is not finite is returned, not raised.  Each worker's buffers
+    are kept in ``pool``, when given, for the next call of as many products.
     """
-    if not lhs:
-        raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
-    pairs = [*lhs, *rhs]
-    d = pairs[0][1].space.dim
-    if any(c.space.dim != d for pair in pairs for c in pair):
-        raise ValueError("curvature dims do not match")
-    ops = {}
-    for actor, _ in pairs:
-        if actor not in ops:
-            ops[actor] = _checked_operators(actor)
-    count = max(len(stack) for stack in ops.values())
-    if count == d * d:  # an actor is not exactly antisymmetric: all pairs
-        ops = {a: stack if len(stack) == count else curvature_operators(a).reshape(count, d, d)
-               for a, stack in ops.items()}
-    # one (U, V) pair of a product of a (0,4) target holds d^4 entries
+    trials = max(len(x) for x in (*stacks, *targets))
+    count, d = stacks[0].shape[1], stacks[0].shape[-1]
+    # a slab is several whole trials, whose buffers (one a product and the
+    # term buffer) together hold at most SLAB_BYTES, or one trial, its pairs
+    # in ranges of at most SLAB_BYTES a product; a pair holds d^4 entries
+    per = min(trials, max(1, SLAB_BYTES // (8 * count * d**4 * (len(stacks) + 1))))
     step = min(count, max(1, SLAB_BYTES // (8 * d**4)))
     blas = _openblas() if count > step else None
     # a block of one row would take numpy's matrix-vector path, whose sums
     # round differently, so every block has at least two
     workers = min(len(os.sched_getaffinity(0)), d // 2) if blas else 1
     bounds = [d * w // workers for w in range(workers + 1)]
-    jobs = [
-        (slice(r0, r1), [np.empty((step, r1 - r0) + (d,) * 3) for _ in range(len(pairs) + 1)])
-        for r0, r1 in zip(bounds, bounds[1:])
-    ]
-    stacks = [ops[a] for a, _ in pairs]
-    targets = [t.tensor.entries for _, t in pairs]
-    c, e = coeffs
-    split = len(lhs)
+    pool = [] if pool is None else pool
+    jobs = []
+    for w, (r0, r1) in enumerate(zip(bounds, bounds[1:])):
+        size = per * step * (r1 - r0) * d**3
+        if len(pool) == w or pool[w][0].size < size:
+            pool[w:w + 1] = [[np.empty(size) for _ in range(len(stacks) + 1)]]
+        jobs.append((slice(r0, r1), pool[w]))
+    # e broadcasts over the pair and slot axes of a slab of (0,4) targets
+    c, e = coeffs[0], np.reshape(coeffs[1], (-1,) + (1,) * 5)
     stop = threading.Event() if workers > 1 else None
+
+    def part(x, b0, b1):
+        return x[b0:b1] if len(x) > 1 else x
 
     def sweep(rows, buffers):
         """The sups over the ``rows`` of the products' first slot, formed in
         ``buffers`` (one per product, then the term buffer), slab by slab
         until another worker fails."""
         *products, term = buffers
-        sups = [0.0, 0.0] if rhs else [0.0]
-        # overflow is reported as a NumericBreakdownError
+        sups = np.zeros((1 + (split < len(stacks)), trials))
+        # a product that overflows gives a sup that is not finite
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, count, step):
+            for b0, lo in itertools.product(range(0, trials, per), range(0, count, step)):
                 if stop is not None and stop.is_set():
                     break
-                hi = min(lo + step, count)
+                b1, hi = min(b0 + per, trials), min(lo + step, count)
                 slabs = [
-                    _action_slab(stack, t, 0, lo, hi, out, term, rows)
-                    for stack, t, out in zip(stacks, targets, products)
+                    _action_slab(part(ops, b0, b1), part(t, b0, b1), 0, lo, hi, out, term, rows)
+                    for ops, t, out in zip(stacks, targets, products)
                 ]
                 left = _weighted_sum(slabs[:split], c)
                 arrays = [left]
-                if rhs:  # the defect, formed in the right side's buffer, goes first
-                    right = _weighted_sum(slabs[split:], e)
+                if split < len(stacks):  # the defect, formed in the right side's buffer, first
+                    right = _weighted_sum(slabs[split:], part(e, b0, b1))
                     arrays.insert(0, np.subtract(left, right, out=right))
-                values = [float(np.max(np.abs(x, out=x))) for x in arrays]
-                if not all(math.isfinite(v) for v in values):
-                    raise NumericBreakdownError(
-                        f"numeric breakdown in {check}: a derivation product is not finite"
-                    )
-                sups = [max(s, v) for s, v in zip(sups, values)]
+                for sup, x in zip(sups, arrays):
+                    worst = np.max(np.abs(x, out=x).reshape(b1 - b0, -1), axis=1)
+                    np.maximum(sup[b0:b1], worst, out=sup[b0:b1])
         return sups
 
     if workers == 1:
-        sups = sweep(*jobs[0])
-        return (sups[0], sups[-1])
+        return sweep(*jobs[0])
     results: list = [None] * workers
 
     def work(w):
@@ -362,8 +366,92 @@ def fused_sups(
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    sups = [max(s) for s in zip(*results)]
-    return (sups[0], sups[-1])
+    return np.max(results, axis=0)
+
+
+def fused_sups(
+    lhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]],
+    rhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]] = (),
+    coeffs: tuple[float, float] = (1.0, 1.0),
+    check: str = "derivation product",
+) -> tuple[float, float]:
+    """Sup norms of the relation ``c * Sum lhs = e * Sum rhs`` of derivation products.
+
+    ``lhs`` and ``rhs`` (which may be empty) list ``(actor, target)`` pairs,
+    each standing for the product ``actor . target``, and ``coeffs`` is
+    ``(c, e)``.  Returns the defect and the guard,
+    ``(sup|c Sum lhs - e Sum rhs|, sup|c Sum lhs|)``.  Each slab of (U, V)
+    pairs forms every product once, in a buffer that all slabs reuse; a side
+    is summed left to right in its first product's buffer, then scaled
+    (unless its coefficient is 1.0).  Each actor is symmetry-checked once per
+    tensor and stage and, if it fails, warns once per call.
+
+    Only the pairs U < V are formed when every actor's operators are
+    exactly antisymmetric (see :func:`_checked_operators`), all d*d pairs
+    otherwise, and a sweep of several slabs runs on several workers, as the
+    module docstring says; neither changes a bit.  Raises
+    :class:`NumericBreakdownError`, naming ``check``, when a reduced value is
+    not finite.
+    """
+    if not lhs:
+        raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
+    pairs = [*lhs, *rhs]
+    d = pairs[0][1].space.dim
+    if any(c.space.dim != d for pair in pairs for c in pair):
+        raise ValueError("curvature dims do not match")
+    ops = {}
+    for actor, _ in pairs:
+        if actor not in ops:
+            ops[actor] = _checked_operators(actor)
+    count = max(len(stack) for stack in ops.values())
+    if count == d * d:  # an actor is not exactly antisymmetric: all pairs
+        ops = {a: stack if len(stack) == count else curvature_operators(a).reshape(count, d, d)
+               for a, stack in ops.items()}
+    sups = _sups([ops[a][None] for a, _ in pairs], [t.tensor.entries[None] for _, t in pairs],
+                 len(lhs), coeffs)[:, 0]
+    if not np.all(np.isfinite(sups)):
+        raise NumericBreakdownError(_BREAKDOWN.format(check))
+    return (float(sups[0]), float(sups[-1]))
+
+
+def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.ndarray,
+                        check: str) -> Iterator[tuple[float, float]]:
+    """For each row (a, b, c) of ``draws`` and its factor f, in order, the
+    defect and guard ``(sup|R.R - f Pi.R|, sup|R.R|)`` of R = a Pi + b Phi + c Psi.
+
+    The trials run in batches of ``SLAB_BYTES // (8 P d^4)`` (at least one),
+    P pairs a stack: each batch forms its combinations, their operator stacks
+    and their symmetry check at once, and one sweep of :func:`_sups`, whose
+    products and sums of each trial are those of
+    ``fused_sups([(r, r)], [(pi, r)], (1.0, f))`` bit for bit.  Each trial is
+    then decided in order: a combination that is not finite is a
+    :class:`~qch.tensors.UsageError`, one that fails the Kahler-type
+    symmetries warns, and a sup that is not finite is a
+    :class:`NumericBreakdownError` naming ``check``.  A batch is formed when
+    its first trial is asked for, so a caller that stops early forms no more.
+    """
+    pi = build_pi(space)
+    pi_ops, d = _checked_operators(pi), space.dim
+    per = max(1, SLAB_BYTES // (8 * len(pi_ops) * d**4))
+    pool: list = []  # the sweep buffers, which every batch reuses
+    for b0 in range(0, len(draws), per):
+        a, b, c = draws[b0:b0 + per].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            rs = _combination(space, a, b, c)
+            *defects, size = _symmetry_defects(space, rs)
+            stacks = [_pair_stack(_operators(space, rs)), pi_ops[None]]
+            if stacks[0].shape[1] != len(pi_ops):  # not all exactly antisymmetric: all pairs
+                stacks = [_operators(space, x).reshape(len(x), d * d, d, d)
+                          for x in (rs, pi.tensor.entries[None])]
+        defect, guard = _sups(stacks, [rs, rs], 1, (1.0, factors[b0:b0 + per]), pool)
+        for i, row in enumerate(draws[b0:b0 + per].tolist()):
+            if not math.isfinite(size[i]):
+                raise UsageError(f"coefficients {tuple(row)} give a curvature that is not finite")
+            if not all(v[i] <= _WARN_TOL * (1.0 + size[i]) for v in defects):
+                _warn_asymmetric([float(v[i]) for v in defects])
+            if not (math.isfinite(defect[i]) and math.isfinite(guard[i])):
+                raise NumericBreakdownError(_BREAKDOWN.format(check))
+            yield float(defect[i]), float(guard[i])
 
 
 def pseudosymmetry_defect(r: CurvatureTensor, factor: float) -> float:

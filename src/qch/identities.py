@@ -33,9 +33,9 @@ from .curvature import (
     hol_sect,
     product_curvature,
 )
-from .derivation import fused_sups
+from .derivation import fused_sups, pseudosymmetry_sups
 from .spaces import HermitianSpace, make_space, project_D, random_adapted_change
-from .tensors import _checked_int, max_abs
+from .tensors import UsageError, _checked_int, max_abs
 
 __all__ = [
     "CheckResult",
@@ -79,14 +79,16 @@ def _run(name: str, space: HermitianSpace, seed: int, check) -> CheckResult:
 
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+        raise UsageError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _check_draws(trials: int, coeff_range: float) -> int:
     """``trials`` as an int, once it and ``coeff_range`` are valid."""
     trials = _checked_int(trials, 1, "trials")
-    if not (math.isfinite(coeff_range) and coeff_range > 0):
-        raise ValueError(f"coeff_range must be finite and positive, got {coeff_range!r}")
+    # the draws are uniform on [-coeff_range, coeff_range], a width of 2 * coeff_range
+    if not (math.isfinite(2.0 * coeff_range) and coeff_range > 0):
+        raise UsageError(f"coeff_range must be positive with 2 * coeff_range finite, "
+                         f"got {coeff_range!r}")
     return trials
 
 
@@ -151,20 +153,17 @@ def verify_theorem1(
     The recorded defect is the worst relative one,
     ``max_abs(R.R - f Pi.R) / (1 + max_abs(R.R))`` over all trials.  Each
     trial is guarded by ``max_abs(R.R)``, as a relation row is: one vacuous
-    trial makes the run's defect infinite.
+    trial makes the run's defect infinite, and no later batch of trials is
+    formed (see :func:`~qch.derivation.pseudosymmetry_sups`).
     """
     _check_tol(tol)
     trials = _check_draws(trials, coeff_range)
     name = "theorem1:r.r=(a+b/2)pi.r"
 
     def check():
-        rng = np.random.default_rng(seed)
-        pi = build_pi(space)
+        draws = np.random.default_rng(seed).uniform(-coeff_range, coeff_range, size=(trials, 3))
         worst = 0.0
-        for _ in range(trials):
-            a, b, c = rng.uniform(-coeff_range, coeff_range, size=3)
-            r = combine(QCHCoefficients(a, b, c), space)
-            defect, rr = fused_sups([(r, r)], [(pi, r)], (1.0, float(a + b / 2.0)), name)
+        for defect, rr in pseudosymmetry_sups(space, draws, draws[:, 0] + draws[:, 1] / 2.0, name):
             worst = max(worst, _vacuous(defect, rr, tol) / (1.0 + rr))
             if worst == math.inf:
                 break
@@ -240,7 +239,7 @@ def run_suite(
     yields an empty report.
     """
     if suite not in SUITES:
-        raise ValueError(f"suite must be one of {', '.join(SUITES)}, got {suite!r}")
+        raise UsageError(f"suite must be one of {', '.join(SUITES)}, got {suite!r}")
     _check_tol(tol)
     trials = _check_draws(trials, coeff_range)
     n_list = [_checked_int(n, 2, "complex dimension n") for n in n_list]

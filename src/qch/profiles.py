@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .derivation import NumericBreakdownError
-from .tensors import _checked_int
+from .tensors import UsageError, _checked_int
 
 __all__ = [
     "Profile",
@@ -78,7 +78,7 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
     m = 3 + 24 r0^2 / (s L^2) > 3, so its root nearer zero lies in (-1, 0),
     where r' > 0 on (0, L), and the other lies below -2, where it is not.
     The near root is taken, polished by Newton steps, and clamped to the line
-    g0 + g1 L = 0 where rounding puts it past.  Raises ``ValueError`` on bad
+    g0 + g1 L = 0 where rounding puts it past.  Raises ``UsageError`` on bad
     parameters and :class:`~qch.derivation.NumericBreakdownError` where the
     quadratic leaves the float range: 2 r0 L or a coefficient or the root
     overflows (so g0 would be 0, or g1 not finite), q2 underflows to zero, or
@@ -86,9 +86,9 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
     above about 1e38).
     """
     if not (math.isfinite(r0) and r0 > 0):
-        raise ValueError("r0 must be a positive finite number")
+        raise UsageError("r0 must be a positive finite number")
     if not (math.isfinite(L) and L > 0):
-        raise ValueError("L must be a positive finite number")
+        raise UsageError("L must be a positive finite number")
     k = _checked_int(k, 1, "factor curvature index k")
     n = _checked_int(n, 2, "complex dimension n")
     # Python floats: a product that overflows gives inf, where numpy scalars would warn

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "UsageError",
     "Tensor",
     "frobenius_inner",
     "max_abs",
@@ -27,6 +28,11 @@ __all__ = [
 ]
 
 _FLOAT_FMT = ".17g"  # round-trips 64-bit floats exactly
+
+
+class UsageError(ValueError):
+    """An argument outside the domain the program handles; the command line
+    reports it as a usage error, with exit status 2."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +112,11 @@ class Tensor:
 
 def _checked_int(value, minimum: int, what: str) -> int:
     """``value`` as an int; anything that is not an integer of at least
-    ``minimum`` (2.5, inf, NaN, a string) is a ``ValueError`` naming ``what``."""
+    ``minimum`` (2.5, inf, NaN, a string) is a :class:`UsageError` naming ``what``."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         if float(value).is_integer() and value >= minimum:
             return int(value)
-    raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    raise UsageError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 def frobenius_inner(s: Tensor, t: Tensor) -> float:

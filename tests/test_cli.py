@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qch import cli, profiles
 from qch import (
     SUITES,
+    UsageError,
     ab2,
     build_pi,
     make_space,
@@ -193,6 +194,27 @@ def test_coeff_range_must_be_finite_and_positive(coeff_range, capsys):
         verify_theorem1(make_space(2), trials=1, coeff_range=float(coeff_range))
     assert main(["verify", "theorem1", "--n", "2", "--coeff-range", coeff_range]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_a_coeff_range_whose_width_overflows_exits_2(capsys):
+    assert main(["verify", "theorem1", "--n", "2", "--coeff-range", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert "usage error: coeff_range" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_only_a_usage_error_exits_2(monkeypatch, capsys):
+    # a ValueError from a program defect (a numpy shape mismatch, say) is
+    # not blamed on the arguments
+    def defect(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "run_suite", defect)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["verify", "table", "--n", "2"])
+    assert "usage error" not in capsys.readouterr().err
+    with pytest.raises(UsageError, match="r0"):
+        solve_profile(-1.0, 1.0, 1, 2)
 
 
 @pytest.mark.parametrize("eps, grid", [("nan", "1000"), ("inf", "1000"), ("0.6", "1000"),

@@ -6,6 +6,7 @@ import pytest
 from qch import derivation, identities
 from qch import (
     KahlerSymmetryWarning,
+    UsageError,
     QCHCoefficients,
     build_phi,
     build_pi,
@@ -104,12 +105,12 @@ def test_a_theorem1_trial_with_a_tiny_r_dot_r_is_vacuous(coeff_range):
 def test_a_false_theorem1_factor_fails_at_a_small_coefficient_range(monkeypatch):
     # 3 (a + b/2) is false, but its defect at coeff_range = 1e-5 (about 4e-11
     # once) lies below tol = 1e-10; the vacuity guard fails it instead
-    real = identities.fused_sups
+    real = identities.pseudosymmetry_sups
 
-    def tripled(lhs, rhs, coeffs, check):
-        return real(lhs, rhs, (coeffs[0], 3.0 * coeffs[1]), check)
+    def tripled(space, draws, factors, check):
+        return real(space, draws, 3.0 * factors, check)
 
-    monkeypatch.setattr(identities, "fused_sups", tripled)
+    monkeypatch.setattr(identities, "pseudosymmetry_sups", tripled)
     sp = make_space(3)
     for coeff_range in (1e-5, 5.0):
         assert not verify_theorem1(sp, trials=20, coeff_range=coeff_range, seed=1).passed
@@ -154,6 +155,7 @@ def test_run_suite_shape_and_determinism():
     ({"seeds": [0, -1]}, "seed"),
     ({"seeds": [0, 1.5]}, "seed"),
     ({"seeds": [0, float("nan")]}, "seed"),
+    ({"coeff_range": 1e308}, "coeff_range"),
 ])
 def test_run_suite_validates_before_any_verifier_runs(monkeypatch, kwargs, match):
     def refuse(*args, **kw):
@@ -166,6 +168,27 @@ def test_run_suite_validates_before_any_verifier_runs(monkeypatch, kwargs, match
         run_suite(**{"n_list": [2], "seeds": [0], "suite": "table", **kwargs})
 
 
+@pytest.mark.parametrize("coeff_range", [1e308, 1.7976931348623157e308])
+def test_a_coeff_range_whose_width_overflows_is_a_usage_error(monkeypatch, coeff_range):
+    # the draws are uniform on [-coeff_range, coeff_range]: numpy refuses a
+    # width 2 * coeff_range past the float range with an OverflowError
+    monkeypatch.setattr(identities, "pseudosymmetry_sups",
+                        lambda *a: pytest.fail("a trial ran before validation"))
+    with pytest.raises(UsageError, match="coeff_range"):
+        verify_theorem1(make_space(2), coeff_range=coeff_range)
+    # the widest range that numpy draws from is accepted
+    assert identities._check_draws(3, 0.5 * 1.7976931348623157e308) == 3
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"trials": 0}, {"coeff_range": -1.0}, {"suite": "nonsense"},
+    {"n_list": [1]}, {"seeds": [-1]},
+])
+def test_every_run_suite_validator_raises_a_usage_error(kwargs):
+    with pytest.raises(UsageError):
+        run_suite(**{"n_list": [2], "seeds": [0], **kwargs})
+
+
 @pytest.mark.parametrize("trials", [2.5, float("inf"), float("nan"), "2"])
 def test_theorem1_rejects_a_trial_count_that_is_not_an_integer(trials):
     with pytest.raises(ValueError, match="trials"):
@@ -175,14 +198,17 @@ def test_theorem1_rejects_a_trial_count_that_is_not_an_integer(trials):
 @pytest.mark.parametrize("trials", [1, 3, 10])
 def test_run_suite_checks_each_curvature_once(trials, monkeypatch):
     # the three shared blocks, one combination per trial and the two
-    # semisymmetric product curvatures
+    # semisymmetric product curvatures; theorem1 checks its combinations a
+    # batch at a time, so each curvature of a batch is counted
     checked = []
-    real = derivation.check_kahler_symmetries
+    real, real_batch = derivation.check_kahler_symmetries, derivation._symmetry_defects
     monkeypatch.setattr(derivation, "check_kahler_symmetries",
-                        lambda r, tol: checked.append(r) or real(r, tol))
+                        lambda r, tol: checked.append(r.tensor.entries) or real(r, tol))
+    monkeypatch.setattr(derivation, "_symmetry_defects",
+                        lambda space, arr: checked.extend(arr) or real_batch(space, arr))
     assert all(r.passed for r in run_suite([2], [0], trials=trials))
     assert len(checked) == trials + 5
-    assert len({r.tensor for r in checked}) == len(checked)
+    assert len({arr.tobytes() for arr in checked}) == len(checked)
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -192,6 +218,8 @@ def test_a_guard_of_ten_tol_is_vacuous_in_every_guarded_check(monkeypatch, above
     tol = 1e-10
     guard = math.nextafter(10.0 * tol, math.inf) if above else 10.0 * tol
     monkeypatch.setattr(identities, "fused_sups", lambda *a, **kw: (0.0, guard))
+    monkeypatch.setattr(identities, "pseudosymmetry_sups",
+                        lambda space, draws, *a: iter([(0.0, guard)] * len(draws)))
     sp = make_space(2)
     table = {r.name: r for r in verify_multiplication_table(sp, tol)}
     for r in (table["table:pi.phi=2phi.phi"], verify_theorem1(sp, trials=3, tol=tol)):

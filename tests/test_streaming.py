@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qch.derivation as derivation
+import qch.identities as identities
 from qch import (
     CurvatureTensor,
     KahlerSymmetryWarning,
     NumericBreakdownError,
     QCHCoefficients,
     Tensor,
+    UsageError,
     build_phi,
     build_pi,
     build_psi,
@@ -162,7 +165,7 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     seen = {}
 
     def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
-        seen.setdefault(t.shape[0], set()).add((lo, hi, rows.start, rows.stop))
+        seen.setdefault(t.shape[-1], set()).add((lo, hi, rows.start, rows.stop))
         return real(ops, t, rk, lo, hi, out, term, rows)
 
     for n, seed in itertools.product((2, 3, 4), (0, 1)):
@@ -199,7 +202,7 @@ def _record_stacks(monkeypatch):
     seen = []
 
     def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
-        seen.append((len(ops), lo, hi, rows.start, rows.stop))
+        seen.append((ops.shape[1], lo, hi, rows.start, rows.stop))
         return real(ops, t, rk, lo, hi, out, term, rows)
 
     monkeypatch.setattr(derivation, "_action_slab", recording)
@@ -287,19 +290,20 @@ def test_kernel_matches_the_loop_oracle_pair_by_pair(n, valence):
     assert dense.shape == t.shape + (d, d)
     pair_major = np.moveaxis(dense, (-2, -1), (0, 1)).reshape((d * d,) + t.shape)
     assert np.allclose(pair_major, oracle, rtol=0.0, atol=1e-13)
-    # ragged slabs of 5 pairs, written into the same two buffers every time,
-    # over all rows of the first slot and over blocks of two or more rows
+    # ragged slabs of 5 pairs of one trial, written into the same two buffers
+    # every time, over all rows of the first slot and over blocks of two or
+    # more rows
     for rows in [slice(None), slice(0, 2), slice(1, d - 1), slice(2, d)]:
-        shape = (5,) + t[rows].shape
+        shape = (1, 5) + t[rows].shape
         out, term = np.empty(shape), np.empty(shape)
         for lo in range(0, d * d, 5):
             hi = min(lo + 5, d * d)
-            slab = derivation._action_slab(ops, t, valence[0], lo, hi, out, term, rows)
+            slab = derivation._action_slab(ops[None], t[None], valence[0], lo, hi, out, term, rows)
             assert np.shares_memory(slab, out)
-            assert np.array_equal(slab, pair_major[lo:hi, rows]), rows
+            assert np.array_equal(slab[0], pair_major[lo:hi, rows]), rows
     # one row takes numpy's matrix-vector path: right, but not bit for bit
-    one_row = derivation._action_slab(ops, t, valence[0], 0, d * d, rows=slice(1, 2))
-    assert np.allclose(one_row, pair_major[:, 1:2], rtol=0.0, atol=1e-13)
+    one_row = derivation._action_slab(ops[None], t[None], valence[0], 0, d * d, rows=slice(1, 2))
+    assert np.allclose(one_row[0], pair_major[:, 1:2], rtol=0.0, atol=1e-13)
 
 
 # -- workers over row blocks -------------------------------------------------------
@@ -475,7 +479,8 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     real_check = derivation.check_kahler_symmetries
 
     def counting_slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
-        slabs.append((id(ops), id(t), lo, hi, rows.start, rows.stop))
+        # a relation's products are one trial: views of the stack and target
+        slabs.append((id(ops.base), id(t.base), lo, hi, rows.start, rows.stop))
         return real_slab(ops, t, rk, lo, hi, out, term, rows)
 
     def counting_check(r, **kwargs):
@@ -512,10 +517,15 @@ def _count_checks(monkeypatch):
 def test_a_curvature_is_checked_once_across_calls(monkeypatch):
     sp = make_space(2)
     checks = _count_checks(monkeypatch)
+    real_batch = derivation._symmetry_defects
+    batches = []  # theorem1 checks its combinations a batch at a time
+    monkeypatch.setattr(derivation, "_symmetry_defects",
+                        lambda space, arr: batches.extend(arr) or real_batch(space, arr))
     verify_theorem1(sp, trials=100)
     pi = build_pi(sp).tensor.entries
-    assert len(checks) == 101  # Pi once, and each trial's R once
-    assert sum(np.array_equal(r.tensor.entries, pi) for r in checks) == 1
+    entries = [r.tensor.entries for r in checks] + batches
+    assert len(entries) == 101  # Pi once, and each trial's R once
+    assert sum(np.array_equal(arr, pi) for arr in entries) == 1
 
 
 def test_a_failing_curvature_warns_on_every_use(monkeypatch):
@@ -736,3 +746,113 @@ def test_every_worker_count_gives_the_dense_sups_bit_for_bit(monkeypatch, n):
         assert [derivation.fused_sups(*rel) for rel in relations] == dense, cores
         blocks = {(r0, r1) for *_, r0, r1 in seen}
         assert blocks == set(_row_blocks(d, cores)), cores
+
+
+# -- theorem1's trials in batches ----------------------------------------------------
+
+
+def _per_batch(d):
+    """Trials a batch of theorem1 holds at dim ``d``: one product's slab of them
+    fills SLAB_BYTES."""
+    return max(1, derivation.SLAB_BYTES // (8 * _upper(d) * d**4))
+
+
+def _per_slab(d):
+    """Trials a slab of theorem1 holds at dim ``d``: its two product buffers
+    and its term buffer together fill SLAB_BYTES."""
+    return max(1, derivation.SLAB_BYTES // (3 * 8 * _upper(d) * d**4))
+
+
+def _draws(space, trials, coeff_range=5.0, seed=4):
+    """Theorem1's draws on ``space`` and their factors a + b/2."""
+    draws = np.random.default_rng(seed).uniform(-coeff_range, coeff_range, size=(trials, 3))
+    return draws, draws[:, 0] + draws[:, 1] / 2.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("trials", [1, 7, 100])
+def test_batched_trials_equal_their_lone_sweeps_bit_for_bit(monkeypatch, n, trials):
+    # 85 trials a batch (28 a slab) at d = 4 and 6 (2 a slab) at d = 6, so 7
+    # and 100 straddle batch and slab boundaries; one trial a batch at d = 8,
+    # and at d = 10 a trial's pair slabs split their rows between two workers
+    _use_cores(monkeypatch, 2)
+    space = random_adapted_change(make_space(n), n)
+    pi = build_pi(space)
+    draws, factors = _draws(space, trials)
+    batched = list(derivation.pseudosymmetry_sups(space, draws, factors, "theorem1"))
+    rs = [combine(QCHCoefficients(*row), space) for row in draws]
+    lone = [derivation.fused_sups([(r, r)], [(pi, r)], (1.0, f)) for r, f in zip(rs, factors)]
+    assert batched == lone
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_theorem1_forms_two_slabs_per_slab_of_trials(monkeypatch, n):
+    # one R.R slab and one Pi.R slab for each slab of whole trials in each
+    # batch: a fallback to a sweep per trial would form 2 * trials
+    d, trials = 2 * n, 100
+    per_batch, per_slab = _per_batch(d), _per_slab(d)
+    assert (per_batch, per_slab) == {4: (85, 28), 6: (6, 2)}[d]
+    batches = [min(per_batch, trials - b0) for b0 in range(0, trials, per_batch)]
+    seen = _record_stacks(monkeypatch)
+    assert verify_theorem1(make_space(n), trials=trials).passed
+    assert len(seen) == 2 * sum(math.ceil(b / per_slab) for b in batches)
+    assert len(seen) < 2 * trials
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("place", ["middle", "last"])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("wrong", [lambda f: 3.0 * f, lambda f: f * (1.0 + 1e-3)],
+                         ids=["3f", "f(1+1e-3)"])
+def test_a_false_factor_fails_in_its_own_trial_only(n, place, scale, wrong):
+    # one trial of a batch gets a wrong factor: it must fail, and every
+    # other trial must pass or fail as vacuous; a factor broadcast to the
+    # wrong trial would pass the false statement or fail a true one
+    tol = 1e-10
+    space = random_adapted_change(make_space(n), 2)
+    per = _per_batch(space.dim)
+    draws, factors = _draws(space, per + 3, coeff_range=5.0 * scale)
+    false = per // 2 if place == "middle" else per - 1
+    factors[false] = wrong(factors[false])
+    sups = derivation.pseudosymmetry_sups(space, draws, factors, "theorem1")
+    for i, (defect, guard) in enumerate(sups):
+        relative = identities._vacuous(defect, guard, tol) / (1.0 + guard)
+        if i == false:
+            assert not relative <= tol, (i, relative)
+        else:
+            assert relative <= tol or relative == math.inf, (i, relative)
+
+
+def test_each_trial_is_decided_in_order():
+    # the three trials form one batch, but each is decided only when asked
+    # for: a caller that stops at the vacuous second trial never meets the
+    # third, whose combination overflows and is refused as not finite
+    space = make_space(2)
+    draws = np.array([[1.0, 0.5, -0.3], [1e-9, 1e-9, 1e-9], [1e308, 1e308, 1e308]])
+    factors = draws[:, 0] + draws[:, 1] / 2.0
+    sups = derivation.pseudosymmetry_sups(space, draws, factors, "theorem1")
+    assert next(sups)[1] > 1e-2
+    assert next(sups)[1] < 1e-15
+    with pytest.raises(UsageError, match="not finite"):
+        next(sups)
+    # a product that overflows is a breakdown named in its own trial
+    huge = np.array([[1.0, 0.5, -0.3], [1e160, 0.0, 0.0]])
+    sups = derivation.pseudosymmetry_sups(space, huge, huge[:, 0], "theorem1:x")
+    assert next(sups)[1] > 1e-2
+    with pytest.raises(NumericBreakdownError, match="theorem1:x"):
+        next(sups)
+
+
+def test_a_batch_trial_that_fails_the_symmetries_warns(monkeypatch):
+    space = make_space(2)
+    pi, phi, psi = space.blocks
+    noise = np.random.default_rng(0).uniform(-1e-6, 1e-6, size=phi.entries.shape)
+    noisy = Tensor(4, (0, 4), phi.entries + noise)
+    monkeypatch.setitem(space.__dict__, "blocks", (pi, noisy, psi))
+    draws = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])  # only the second holds Phi
+    sups = derivation.pseudosymmetry_sups(space, draws, draws[:, 0], "theorem1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        next(sups)
+    with pytest.warns(KahlerSymmetryWarning):
+        next(sups)
