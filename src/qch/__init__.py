@@ -27,6 +27,7 @@ from .derivation import (
     endo_derive,
     fused_sups,
     pseudosymmetry_defect,
+    pseudosymmetry_sups,
 )
 from .identities import (
     SUITES,
@@ -106,6 +107,7 @@ __all__ = [
     "profile_report",
     "project_D",
     "pseudosymmetry_defect",
+    "pseudosymmetry_sups",
     "pullback",
     "random_adapted_change",
     "run_suite",

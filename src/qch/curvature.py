@@ -177,8 +177,8 @@ def check_kahler_symmetries(r: CurvatureTensor, tol: float = 1e-12) -> SymmetryR
     """Measure the four symmetries: antisymmetry in both pairs, pair exchange,
     the first Bianchi identity, and J-invariance in the first pair."""
     *defects, size = (float(x) for x in _symmetry_defects(r.space, r.tensor.entries))
-    scaled = tol * (1.0 + size)
-    return SymmetryReport(*defects, scaled, all(v <= scaled for v in defects))
+    scaled, passed = _kahler_verdict(defects, size, tol)
+    return SymmetryReport(*defects, scaled, bool(passed))
 
 
 def _symmetry_defects(space: HermitianSpace, arr: np.ndarray) -> tuple:
@@ -199,6 +199,13 @@ def _symmetry_defects(space: HermitianSpace, arr: np.ndarray) -> tuple:
     d, jt, shape = space.dim, space.J.entries.T, arr.shape[:lead]
     pulled = np.matmul(jt, (jt @ arr.reshape(shape + (d, -1))).reshape(shape + (d, d, -1)))
     return anti, pair, bianchi, sup(pulled.reshape(arr.shape) - arr), sup(arr)
+
+
+def _kahler_verdict(defects, size, tol: float):
+    """The scaled bound ``tol * (1 + size)`` and whether every one of the
+    ``defects`` is at most it (NaN is not), elementwise over the leading axes."""
+    scaled = tol * (1.0 + size)
+    return scaled, np.all([v <= scaled for v in defects], axis=0)
 
 
 def hol_sect(r: CurvatureTensor, x: np.ndarray) -> float:

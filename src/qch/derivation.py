@@ -9,39 +9,39 @@ order of the result is (original slots..., U, V).
 
 For a (0,4) target that result has d^6 entries: 1.5 GB at real dimension
 d = 24.  Every check is a linear relation ``c * Sum lhs = e * Sum rhs`` among
-such products and needs only sup norms, so :func:`fused_sups` streams the
-products in slabs of at most :data:`SLAB_BYTES` (1 MB), forms the relation in
-place and reduces every slab as soon as it is formed; no full (0,6) array is
-built.  The kernel has a leading trial axis.  A slab is either several whole
-trials, whose buffers together hold at most SLAB_BYTES (theorem1's random
-draws, run in batches by :func:`pseudosymmetry_sups`: 28 trials at d = 4, 2
-at d = 6, one at d = 8), or a range of (U, V) pairs of one trial (a relation
-row is one trial; 13 pairs at d = 10, one from d = 20 on).  Each trial's
-matmuls have the shapes of a lone trial's, so batching changes no bit.  When
-every actor of a check has exactly antisymmetric operators, R(V, U) = -R(U, V)
-bit for bit, as the model blocks, their combinations and product curvatures
-do by construction, the stack holds only the d(d-1)/2 pairs U < V.  That is
-exact: negating an operator negates every rounded product and sum, so each
-product, and each linear combination of products, at (V, U) is the exact
-negation of the one at (U, V), and zero at U = V.  Any other actor (a
-perturbed block, a user tensor, one off by an ulp) runs all d^2 pairs.  Each
-slot's term of the action is one batched matmul that lands in that layout,
-and a check allocates one buffer per product and one term buffer, which
-every slab reuses.
+such products and needs only sup norms, so one driver streams the products
+in slabs of at most :data:`SLAB_BYTES` (1 MB), forms the relation in place
+and reduces each slab as soon as it is formed; no (0,6) array is built.  It
+has a leading trial axis: a relation row of :func:`fused_sups` is one trial,
+and :func:`pseudosymmetry_sups` runs theorem1's draws in batches.  A slab is
+several whole trials, whose buffers together hold at most SLAB_BYTES (28 at
+d = 4, 2 at d = 6, one at d = 8), or a range of (U, V) pairs of one trial
+(13 at d = 10, one from d = 20 on); each trial's matmuls keep a lone trial's
+shapes, so batching changes no bit.  Each curvature, a lone actor (once per
+tensor and stage) or a batch of combinations, is prepared in one place: its
+Kahler-type symmetry check, then its operators.  When R(V, U) = -R(U, V) bit
+for bit, as for the model blocks, their combinations and product curvatures
+by construction, its stack holds only the pairs U < V.  That is exact:
+negating an operator negates every rounded product and sum, so each linear
+combination of products at (V, U) is the exact negation of the one at
+(U, V), and zero at U = V.  An actor with all d^2 pairs in its stack (a
+perturbed block, a user tensor, one off by an ulp) makes every actor of its
+relation run all d^2 pairs, each formed on its own stage.  Each slot's term
+is one batched matmul into that layout, and a sweep allocates one buffer per
+product and one term buffer, which every slab reuses.
 
 A sweep of pair ranges (d >= 10) runs on one worker per available core, at
 most d/2: the calling thread and a ``threading.Thread`` for each other.
-Every worker walks every slab but forms only its own block of rows of the
-products' first slot, in its own buffers of that many rows, so all workers
-together hold the bytes of one full set.  Meanwhile numpy's bundled OpenBLAS
-is pinned to one thread (through ``ctypes``; two BLAS threads per worker
-would oversubscribe the cores) under a module lock, and its old count is
-restored when the last worker has joined.  Where its thread control is not
-found the sweep runs on the calling thread alone.  Each sup is a max over
-rows and slabs, and a block of two or more rows rounds every entry as the
-full product does, so the split changes no bit.  :func:`curv_dot` returns the
-full product, computed by the same slab function over all d^2 pairs, with the
-pair axes moved back to the end.
+Each worker forms only its own block of rows of the products' first slot,
+in buffers of that many rows, so all workers together hold one set's bytes.
+Meanwhile numpy's bundled OpenBLAS is pinned to one thread (through
+``ctypes``; more would oversubscribe the cores) under a module lock, and its
+count is restored when the last worker has joined; where its thread control
+is not found the sweep runs on the calling thread alone.  Each sup is a max
+over rows and slabs, and a block of two or more rows rounds every entry as
+the full product does, so the split changes no bit.  :func:`curv_dot`
+returns the full product, from the same slab function over all d^2 pairs,
+with the pair axes moved back to the end.
 """
 
 from __future__ import annotations
@@ -58,13 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .curvature import (
-    CurvatureTensor,
-    _combination,
-    _symmetry_defects,
-    build_pi,
-    check_kahler_symmetries,
-)
+from .curvature import CurvatureTensor, _combination, _kahler_verdict, _symmetry_defects, build_pi
 from .spaces import HermitianSpace
 from .tensors import Tensor, UsageError
 
@@ -124,44 +118,42 @@ def _operators(space: HermitianSpace, arr: np.ndarray) -> np.ndarray:
     return np.einsum("aw,...uvbw->...uvab", np.linalg.inv(space.g.entries), arr)
 
 
-def _pair_stack(ops: np.ndarray) -> np.ndarray:
-    """The operators ``ops[..., u, v]`` with one pair axis: the d(d-1)/2 pairs
-    U < V in ``np.triu_indices`` order when R(V, U) = -R(U, V) bit for bit in
-    all of them, otherwise all d*d pairs ``U * d + V``."""
-    d = ops.shape[-1]
-    if np.array_equal(ops, -ops.swapaxes(-4, -3)):
-        return ops[(..., *np.triu_indices(d, 1), slice(None), slice(None))]
-    return ops.reshape(ops.shape[:-4] + (d * d, d, d))
+def _prepared(space: HermitianSpace, arr: np.ndarray) -> tuple:
+    """The (B, P, d, d) operator stack, the sup norms and the warnings of the
+    (B, d, d, d, d) curvatures ``arr`` on ``space``.  The stack holds the
+    d(d-1)/2 pairs U < V in ``np.triu_indices`` order when R(V, U) = -R(U, V)
+    bit for bit in all of them, otherwise all d*d pairs ``U * d + V``; a
+    curvature that fails the Kahler-type symmetries (at 1e-8 scaled) has the
+    text of its warning, any other None.  The symmetry defects are formed
+    first, so their temporaries and the stack are never alive together."""
+    *defects, size = _symmetry_defects(space, arr)
+    _, passed = _kahler_verdict(defects, size, _WARN_TOL)
+    texts = [None if ok else "curvature input fails Kahler-type symmetries "
+             f"(worst defect {max(v[i] for v in defects):.3e})" for i, ok in enumerate(passed)]
+    ops, d = _operators(space, arr), space.dim
+    if np.array_equal(ops, -ops.swapaxes(1, 2)):
+        return ops[(slice(None), *np.triu_indices(d, 1))], size, texts
+    return ops.reshape(len(arr), d * d, d, d), size, texts
 
 
-# Stage, operator stack and symmetry report of each curvature in use, keyed by
-# its entries (immutable, hashed by identity), so every wrapper of a stage's
-# shared blocks finds them; the stage is held weakly, or it would keep its
-# blocks alive.
+# Stage, (1, P, d, d) stack, sup norm and warning of each curvature in use,
+# keyed by its entries (immutable, hashed by identity) so that every wrapper
+# of a stage's blocks finds them; the stage is held weakly, as it holds them.
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _warn_asymmetric(defects) -> None:
-    warnings.warn(
-        f"curvature input fails Kahler-type symmetries (worst defect {max(defects):.3e})",
-        KahlerSymmetryWarning,
-        stacklevel=4,
-    )
-
-
 def _checked_operators(r: CurvatureTensor) -> np.ndarray:
-    """The (P, d, d) operator stack of ``r`` (see :func:`_pair_stack`),
-    warning first if ``r`` fails the Kahler-type symmetry check (at 1e-8
-    scaled).  Both are computed once per tensor and stage; the warning is
-    repeated on every use.
+    """The (1, P, d, d) operator stack of ``r`` (see :func:`_prepared`),
+    warning first if ``r`` fails the Kahler-type symmetry check.  Both are
+    computed once per tensor and stage; the warning is repeated on every use.
     """
     memo = _OPERATORS.get(r.tensor)
     if memo is None or memo[0]() is not r.space:
-        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space), _pair_stack(curvature_operators(r)),
-                                       check_kahler_symmetries(r, tol=_WARN_TOL))
-    _, ops, report = memo
-    if not report.passed:
-        _warn_asymmetric(report.defects().values())
+        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space),
+                                       *_prepared(r.space, r.tensor.entries[None]))
+    _, ops, _, (text,) = memo
+    if text is not None:
+        warnings.warn(text, KahlerSymmetryWarning, stacklevel=3)
     return ops
 
 
@@ -369,6 +361,19 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
     return np.max(results, axis=0)
 
 
+def _relation_sups(products: list, split: int, coeffs: tuple, pool=None) -> np.ndarray:
+    """:func:`_sups` of the ``products`` ``(space, actor, ops, target)``: an
+    actor's (B, d, d, d, d) entries on its stage, their stack from
+    :func:`_prepared` and the target's (B, ...) entries, any of which may
+    hold one trial that all share.  When the stacks' pair layouts disagree,
+    every actor runs all d*d pairs, formed afresh on its own stage."""
+    count, d = max(ops.shape[1] for _, _, ops, _ in products), products[0][1].shape[-1]
+    stacks = [ops if ops.shape[1] == count else
+              _operators(space, actor).reshape(len(actor), count, d, d)
+              for space, actor, ops, _ in products]
+    return _sups(stacks, [t for *_, t in products], split, coeffs, pool)
+
+
 def fused_sups(
     lhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]],
     rhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]] = (),
@@ -386,12 +391,9 @@ def fused_sups(
     (unless its coefficient is 1.0).  Each actor is symmetry-checked once per
     tensor and stage and, if it fails, warns once per call.
 
-    Only the pairs U < V are formed when every actor's operators are
-    exactly antisymmetric (see :func:`_checked_operators`), all d*d pairs
-    otherwise, and a sweep of several slabs runs on several workers, as the
-    module docstring says; neither changes a bit.  Raises
-    :class:`NumericBreakdownError`, naming ``check``, when a reduced value is
-    not finite.
+    The pair layout and the workers are those of the module docstring, and
+    neither changes a bit.  Raises :class:`NumericBreakdownError`, naming
+    ``check``, when a reduced value is not finite.
     """
     if not lhs:
         raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
@@ -399,16 +401,9 @@ def fused_sups(
     d = pairs[0][1].space.dim
     if any(c.space.dim != d for pair in pairs for c in pair):
         raise ValueError("curvature dims do not match")
-    ops = {}
-    for actor, _ in pairs:
-        if actor not in ops:
-            ops[actor] = _checked_operators(actor)
-    count = max(len(stack) for stack in ops.values())
-    if count == d * d:  # an actor is not exactly antisymmetric: all pairs
-        ops = {a: stack if len(stack) == count else curvature_operators(a).reshape(count, d, d)
-               for a, stack in ops.items()}
-    sups = _sups([ops[a][None] for a, _ in pairs], [t.tensor.entries[None] for _, t in pairs],
-                 len(lhs), coeffs)[:, 0]
+    ops = {a: _checked_operators(a) for a in dict.fromkeys(a for a, _ in pairs)}
+    sups = _relation_sups([(a.space, a.tensor.entries[None], ops[a], t.tensor.entries[None])
+                           for a, t in pairs], len(lhs), coeffs)[:, 0]
     if not np.all(np.isfinite(sups)):
         raise NumericBreakdownError(_BREAKDOWN.format(check))
     return (float(sups[0]), float(sups[-1]))
@@ -420,9 +415,8 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
     defect and guard ``(sup|R.R - f Pi.R|, sup|R.R|)`` of R = a Pi + b Phi + c Psi.
 
     The trials run in batches of ``SLAB_BYTES // (8 P d^4)`` (at least one),
-    P pairs a stack: each batch forms its combinations, their operator stacks
-    and their symmetry check at once, and one sweep of :func:`_sups`, whose
-    products and sums of each trial are those of
+    P pairs a stack: each batch prepares its combinations at once and runs
+    one sweep, whose products and sums of each trial are those of
     ``fused_sups([(r, r)], [(pi, r)], (1.0, f))`` bit for bit.  Each trial is
     then decided in order: a combination that is not finite is a
     :class:`~qch.tensors.UsageError`, one that fails the Kahler-type
@@ -431,24 +425,21 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
     its first trial is asked for, so a caller that stops early forms no more.
     """
     pi = build_pi(space)
-    pi_ops, d = _checked_operators(pi), space.dim
-    per = max(1, SLAB_BYTES // (8 * len(pi_ops) * d**4))
+    pi_ops = _checked_operators(pi)
+    per = max(1, SLAB_BYTES // (8 * pi_ops.shape[1] * space.dim**4))
     pool: list = []  # the sweep buffers, which every batch reuses
     for b0 in range(0, len(draws), per):
         a, b, c = draws[b0:b0 + per].T
         with np.errstate(over="ignore", invalid="ignore"):
             rs = _combination(space, a, b, c)
-            *defects, size = _symmetry_defects(space, rs)
-            stacks = [_pair_stack(_operators(space, rs)), pi_ops[None]]
-            if stacks[0].shape[1] != len(pi_ops):  # not all exactly antisymmetric: all pairs
-                stacks = [_operators(space, x).reshape(len(x), d * d, d, d)
-                          for x in (rs, pi.tensor.entries[None])]
-        defect, guard = _sups(stacks, [rs, rs], 1, (1.0, factors[b0:b0 + per]), pool)
+            ops, size, texts = _prepared(space, rs)
+            products = [(space, rs, ops, rs), (space, pi.tensor.entries[None], pi_ops, rs)]
+            defect, guard = _relation_sups(products, 1, (1.0, factors[b0:b0 + per]), pool)
         for i, row in enumerate(draws[b0:b0 + per].tolist()):
             if not math.isfinite(size[i]):
                 raise UsageError(f"coefficients {tuple(row)} give a curvature that is not finite")
-            if not all(v[i] <= _WARN_TOL * (1.0 + size[i]) for v in defects):
-                _warn_asymmetric([float(v[i]) for v in defects])
+            if texts[i] is not None:
+                warnings.warn(texts[i], KahlerSymmetryWarning, stacklevel=3)
             if not (math.isfinite(defect[i]) and math.isfinite(guard[i])):
                 raise NumericBreakdownError(_BREAKDOWN.format(check))
             yield float(defect[i]), float(guard[i])

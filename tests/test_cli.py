@@ -161,6 +161,16 @@ def test_verify_report_matches_the_golden_bytes(tmp_path, capsys):
     assert path.read_bytes() == (DATA / "verify_all_n3.json").read_bytes()
 
 
+def test_a_multi_slab_verify_report_matches_the_golden_bytes(tmp_path, capsys):
+    # d = 10: every relation row sweeps several pair-range slabs, which a
+    # machine of two or more cores splits by rows between two workers
+    path = tmp_path / "v.json"
+    assert main(["verify", "all", "--n", "5", "--seed", "1", "--trials", "3",
+                 "--no-timestamp", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == (DATA / "verify_all_n5.json").read_bytes()
+
+
 def test_a_negative_seed_is_a_usage_error(capsys):
     assert main(["verify", "table", "--n", "2", "--seed", "-1"]) == 2
     assert "usage error: seed must be an integer >= 0" in capsys.readouterr().err

@@ -116,6 +116,60 @@ def test_a_false_theorem1_factor_fails_at_a_small_coefficient_range(monkeypatch)
         assert not verify_theorem1(sp, trials=20, coeff_range=coeff_range, seed=1).passed
 
 
+GUARDED_ROWS = {
+    "table:pi.phi=2phi.phi",
+    "table:pi.psi=2phi.psi",
+    "eq32:2phi.phi=phi.pi+pi.phi",
+    "eq32:psi.pi+pi.psi=2(phi.psi+psi.phi)",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("wrong", [None, lambda e: 3.0 * e, lambda e: e * (1.0 + 1e-3)],
+                         ids=["true", "3e", "e(1+1e-3)"])
+def test_a_false_guarded_row_fails_at_every_scale(monkeypatch, n, scale, wrong):
+    # the verifiers' own guarded rows, their right side's coefficient e made
+    # false; a false row must fail, and a true one must pass or fail through
+    # its tripped guard (all of them do at scale 1e-6, where sup|c Sum lhs|
+    # is about 1e-12); every row is homogeneous of degree 2 in the blocks,
+    # so scaling them keeps a true row true
+    for name in ("build_pi", "build_phi", "build_psi"):
+        build = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda space, build=build: scale * build(space))
+    real = identities._relations
+
+    def guarded(space, seed, tol, rows):
+        rows = [(name, lhs, rhs, (c, wrong(e) if wrong else e))
+                for name, lhs, rhs, (c, e) in rows if rhs]
+        return real(space, seed, tol, rows)
+
+    monkeypatch.setattr(identities, "_relations", guarded)
+    sp = random_adapted_change(make_space(n), 2)
+    results = verify_multiplication_table(sp) + verify_eq32(sp)
+    assert {r.name for r in results} == GUARDED_ROWS
+    for r in results:
+        if wrong is None:
+            assert r.passed or r.max_defect == math.inf, r
+        else:
+            assert not r.passed, r
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_a_false_zero_claim_fails(n, scale):
+    # the four products that do not vanish, each claimed to vanish in an
+    # unguarded row; at scale 1e-6 such a claim still passes (its defect,
+    # 6.25e-14 for phi.phi, lies below tol * (1 + |A| |T|), about 1e-10)
+    sp = random_adapted_change(make_space(n), 2)
+    pi, phi, psi = (scale * build(sp) for build in (build_pi, build_phi, build_psi))
+    products = {"pi.phi": (pi, phi), "pi.psi": (pi, psi), "phi.phi": (phi, phi),
+                "phi.psi": (phi, psi)}
+    rows = [(f"{name}=0", [pair], [], (1.0, 1.0)) for name, pair in products.items()]
+    for r in identities._relations(sp, 0, 1e-10, rows):
+        assert not r.passed, r
+
+
 def test_pseudosymmetry_verifier_is_deterministic():
     sp = make_space(2)
     r1 = verify_theorem1(sp, trials=10, seed=3)
@@ -198,14 +252,13 @@ def test_theorem1_rejects_a_trial_count_that_is_not_an_integer(trials):
 @pytest.mark.parametrize("trials", [1, 3, 10])
 def test_run_suite_checks_each_curvature_once(trials, monkeypatch):
     # the three shared blocks, one combination per trial and the two
-    # semisymmetric product curvatures; theorem1 checks its combinations a
-    # batch at a time, so each curvature of a batch is counted
+    # semisymmetric product curvatures; every check is of a batch (one
+    # curvature, or a batch of theorem1's combinations), and each curvature
+    # of a batch is counted
     checked = []
-    real, real_batch = derivation.check_kahler_symmetries, derivation._symmetry_defects
-    monkeypatch.setattr(derivation, "check_kahler_symmetries",
-                        lambda r, tol: checked.append(r.tensor.entries) or real(r, tol))
+    real = derivation._symmetry_defects
     monkeypatch.setattr(derivation, "_symmetry_defects",
-                        lambda space, arr: checked.extend(arr) or real_batch(space, arr))
+                        lambda space, arr: checked.extend(arr) or real(space, arr))
     assert all(r.passed for r in run_suite([2], [0], trials=trials))
     assert len(checked) == trials + 5
     assert len({arr.tobytes() for arr in checked}) == len(checked)

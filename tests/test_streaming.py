@@ -28,6 +28,7 @@ import qch.derivation as derivation
 import qch.identities as identities
 from qch import (
     CurvatureTensor,
+    HermitianSpace,
     KahlerSymmetryWarning,
     NumericBreakdownError,
     QCHCoefficients,
@@ -191,7 +192,7 @@ def _force_all_pairs(monkeypatch):
     def all_pairs(r):
         real(r)
         d = r.space.dim
-        return derivation.curvature_operators(r).reshape(d * d, d, d)
+        return derivation.curvature_operators(r).reshape(1, d * d, d, d)
 
     monkeypatch.setattr(derivation, "_checked_operators", all_pairs)
 
@@ -243,8 +244,8 @@ def test_an_actor_one_ulp_from_antisymmetric_runs_every_pair(monkeypatch):
     pi = build_pi(sp)
     off = _one_ulp_off(pi)
     assert check_kahler_symmetries(off, tol=1e-8).passed  # so no warning either
-    assert len(derivation._checked_operators(pi)) == _upper(d)
-    assert len(derivation._checked_operators(off)) == d * d
+    assert derivation._checked_operators(pi).shape[1] == _upper(d)
+    assert derivation._checked_operators(off).shape[1] == d * d
     dense_pi, dense_off = max_abs(curv_dot(pi, off)), max_abs(curv_dot(off, off))
     dense_diff = max_abs(curv_dot(pi, off) - curv_dot(off, off))
     seen = _record_stacks(monkeypatch)
@@ -255,6 +256,24 @@ def test_an_actor_one_ulp_from_antisymmetric_runs_every_pair(monkeypatch):
     seen.clear()
     assert derivation.fused_sups([(pi, off)]) == (dense_pi, dense_pi)
     assert seen == [(_upper(d), 0, _upper(d), 0, d)]
+
+
+def test_the_all_pairs_fallback_forms_each_actor_on_its_own_stage(monkeypatch):
+    # two stages of one dimension, the second with basis vectors twice as
+    # long (g = 4 I), so the same entries give operators a quarter the size:
+    # operators formed on the wrong stage give other sups
+    first = make_space(2)
+    d, eye = first.dim, np.eye(first.dim)
+    second = HermitianSpace(n=2, basis_map=2.0 * eye, g=Tensor(d, (0, 2), 4.0 * eye),
+                            J=first.J, p_D=first.p_D)
+    pi = build_pi(first)
+    off = _one_ulp_off(combine(QCHCoefficients(0.7, -1.3, 2.1), second))
+    seen = _record_stacks(monkeypatch)
+    # either actor first: Pi's stack of pairs U < V is formed afresh for all pairs
+    for lhs, rhs in [((pi, off), (off, off)), ((off, off), (pi, off))]:
+        dense = (max_abs(curv_dot(*lhs) - curv_dot(*rhs)), max_abs(curv_dot(*lhs)))
+        assert derivation.fused_sups([lhs], [rhs]) == dense
+    assert {count for count, *_ in seen} == {d * d}
 
 
 def test_a_noisy_phi_fails_with_the_all_pairs_defects(monkeypatch, noisy_phi):
@@ -474,21 +493,16 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     sp = make_space(2)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     _use_cores(monkeypatch, 2)
-    slabs, checks = [], []
+    slabs = []
     real_slab = derivation._action_slab
-    real_check = derivation.check_kahler_symmetries
 
     def counting_slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
-        # a relation's products are one trial: views of the stack and target
-        slabs.append((id(ops.base), id(t.base), lo, hi, rows.start, rows.stop))
+        # a relation's products are one trial: its stack, and a view of its target
+        slabs.append((id(ops), id(t.base), lo, hi, rows.start, rows.stop))
         return real_slab(ops, t, rk, lo, hi, out, term, rows)
 
-    def counting_check(r, **kwargs):
-        checks.append(r)
-        return real_check(r, **kwargs)
-
     monkeypatch.setattr(derivation, "_action_slab", counting_slab)
-    monkeypatch.setattr(derivation, "check_kahler_symmetries", counting_check)
+    checks = _count_checks(monkeypatch)
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 4**4)
     products = [(psi, pi), (pi, psi), (phi, psi), (psi, phi)]
     derivation.fused_sups(products[:2], products[2:], (1.0, 2.0))
@@ -498,32 +512,25 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
         (id(derivation._checked_operators(a)), id(t.tensor.entries), lo, hi, *rows)
         for a, t in products for lo, hi in [(0, 4), (4, 6)] for rows in blocks
     )
-    assert [id(r) for r in checks] == [id(psi), id(pi), id(phi)]
+    assert [id(arr.base) for arr in checks] == [id(r.tensor.entries) for r in (psi, pi, phi)]
 
 
 def _count_checks(monkeypatch):
-    """Record every curvature that gets symmetry-checked."""
+    """Record every batch of curvatures that gets symmetry-checked: a lone
+    curvature is a batch of one, a view of its entries."""
     checks = []
-    real_check = derivation.check_kahler_symmetries
-
-    def counting_check(r, **kwargs):
-        checks.append(r)
-        return real_check(r, **kwargs)
-
-    monkeypatch.setattr(derivation, "check_kahler_symmetries", counting_check)
+    real = derivation._symmetry_defects
+    monkeypatch.setattr(derivation, "_symmetry_defects",
+                        lambda space, arr: checks.append(arr) or real(space, arr))
     return checks
 
 
 def test_a_curvature_is_checked_once_across_calls(monkeypatch):
     sp = make_space(2)
-    checks = _count_checks(monkeypatch)
-    real_batch = derivation._symmetry_defects
-    batches = []  # theorem1 checks its combinations a batch at a time
-    monkeypatch.setattr(derivation, "_symmetry_defects",
-                        lambda space, arr: batches.extend(arr) or real_batch(space, arr))
+    checks = _count_checks(monkeypatch)  # theorem1 checks its combinations a batch at a time
     verify_theorem1(sp, trials=100)
     pi = build_pi(sp).tensor.entries
-    entries = [r.tensor.entries for r in checks] + batches
+    entries = [r for arr in checks for r in arr]
     assert len(entries) == 101  # Pi once, and each trial's R once
     assert sum(np.array_equal(arr, pi) for arr in entries) == 1
 
@@ -537,7 +544,7 @@ def test_a_failing_curvature_warns_on_every_use(monkeypatch):
     for _ in range(3):
         with pytest.warns(KahlerSymmetryWarning):
             derivation.fused_sups([(lopsided, lopsided)])
-    assert checks == [lopsided]
+    assert [id(arr.base) for arr in checks] == [id(lopsided.tensor.entries)]
 
 
 # -- fault injection -----------------------------------------------------------
@@ -658,7 +665,7 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
     ]:
         pairs = lhs + rhs
         operators = {a: derivation._checked_operators(a) for a, _ in pairs}
-        assert all(ops.shape == (_upper(d), d, d) for ops in operators.values())
+        assert all(ops.shape == (1, _upper(d), d, d) for ops in operators.values())
         for cores in (1, 2, 3):
             _use_cores(monkeypatch, cores)
             tracemalloc.start()
