@@ -30,16 +30,36 @@ relation run all d^2 pairs, each formed on its own stage.  Each slot's term
 is one batched matmul into that layout, and a sweep allocates one buffer per
 product and one term buffer, which every slab reuses.
 
-A sweep of pair ranges (d >= 10) runs on one worker per available core, at
-most d/2: the calling thread and a ``threading.Thread`` for each other.
-Each worker forms only its own block of rows of the products' first slot,
-in buffers of that many rows, so all workers together hold one set's bytes.
-Meanwhile numpy's bundled OpenBLAS is pinned to one thread (through
-``ctypes``; more would oversubscribe the cores) under a module lock, and its
-count is restored when the last worker has joined; where its thread control
-is not found the sweep runs on the calling thread alone.  Each sup is a max
-over rows and slabs, and a block of two or more rows rounds every entry as
-the full product does, so the split changes no bit.  :func:`curv_dot`
+A sweep of pair ranges (d >= 10) forms each product in blocks of its first
+output pair (X1, X2): row ranges [r_i, r_i+1) of X1, each times the columns
+[r_i, d) of X2, so that the blocks cover X1 <= X2, and balanced by area (at
+least two blocks, each of at least two rows).  That is exact when every
+target is antisymmetric in its first pair bit for bit, as the model blocks,
+their combinations and product curvatures are: each of the first two
+slots' terms at (X2, X1) sums the negated products of the other's term at
+(X1, X2), over the same index in the same order (as OpenBLAS's kernels do;
+the tests check the mirror at d = 16 and 20), and the last two slots' terms
+negate outright, so the product, and every linear combination of products,
+at (X2, X1) is the exact negation of the one at (X1, X2), and its sup is
+reached on X1 <= X2.  The gate is an exact comparison of each target (or
+batch) with its first-pair transpose; a target that fails it makes its
+relation form the full square, in full-width row blocks.  A sweep of one
+slab forms the full square as one block.  The blocks run on one worker per
+available core, at most d/2: the calling thread and a ``threading.Thread``
+for each other, the one worker of a single core forming both triangle
+blocks in turn.  Each worker's buffers hold its own blocks, and each
+target's block is copied once per sweep into contiguous entries, so that
+the last two slots' terms are one matmul of the block's shape.  Meanwhile
+numpy's bundled OpenBLAS is pinned to one thread (through ``ctypes``; more
+would oversubscribe the cores) under a module lock, and its count is
+restored when the last worker has joined; where its thread control is not
+found the sweep runs on the calling thread alone.  Each sup is a max over
+blocks and slabs.  A block of two or more rows and columns rounds every
+entry as the full square does as long as each slot's matmul stays on the
+same side of the size (M N K = 1e6 in OpenBLAS 0.3.31) below which OpenBLAS
+uses a small-matrix kernel, which sums some entries otherwise at d = 20;
+the tests pin each block's entries at d = 16 and 20, the sups of every
+worker count at d = 16, and the reports at d = 10 and 20.  :func:`curv_dot`
 returns the full product, from the same slab function over all d^2 pairs,
 with the pair axes moved back to the end.
 """
@@ -47,6 +67,7 @@ with the pair axes moved back to the end.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import itertools
 import math
@@ -131,7 +152,7 @@ def _prepared(space: HermitianSpace, arr: np.ndarray) -> tuple:
     texts = [None if ok else "curvature input fails Kahler-type symmetries "
              f"(worst defect {max(v[i] for v in defects):.3e})" for i, ok in enumerate(passed)]
     ops, d = _operators(space, arr), space.dim
-    if np.array_equal(ops, -ops.swapaxes(1, 2)):
+    if _antisymmetric_in_first_pair(ops):
         return ops[(slice(None), *np.triu_indices(d, 1))], size, texts
     return ops.reshape(len(arr), d * d, d, d), size, texts
 
@@ -159,41 +180,49 @@ def _checked_operators(r: CurvatureTensor) -> np.ndarray:
 
 def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
                  out: np.ndarray | None = None, term: np.ndarray | None = None,
-                 rows: slice = slice(None)) -> np.ndarray:
+                 rows: slice = slice(None), cols: slice = slice(None),
+                 head: np.ndarray | None = None) -> np.ndarray:
     """Entries of R(U, V) . T for the pairs ``lo:hi`` of each trial's operator
-    stack, restricted to the ``rows`` of the first slot of ``t``.
+    stack, restricted to the ``rows`` of the first slot of ``t`` and, for a
+    tensor of two or more slots, the ``cols`` of its second.
 
     ``ops`` is a (B, P, d, d) stack of curvature operators, one (P, d, d)
     stack per trial, and ``t`` the (B, ...) entries of each trial's tensor
     with ``rk`` output slots; either may hold one trial that all share.  The
     result has the trial axis first, then the pair axis (``hi - lo`` pairs),
-    then the slots of ``t``, the first cut to ``rows``.  Each trial's matmuls
-    have the shapes of a single trial's, so batching trials changes no bit.
-    The result is written into ``out`` and each slot's term into ``term``
-    when they are given (contiguous arrays of at least the result's size),
-    so a caller that keeps both across slabs allocates nothing per slab.
+    then the slots of ``t``, the first two cut to ``rows`` and ``cols``.
+    ``head`` is ``t[:, rows, cols]``, contiguous, when the caller keeps it
+    across slabs; each later slot's term is then one matmul over it.  Each
+    trial's matmuls have the shapes of a single trial's, so batching trials
+    changes no bit.  The result is written into ``out`` and each slot's term
+    into ``term`` when they are given (contiguous arrays of at least the
+    result's size), so a caller that keeps both across slabs allocates
+    nothing per slab.
     """
     d = ops.shape[-1]
     ops = ops[:, lo:hi]
     ops_t = ops.transpose(0, 1, 3, 2)[:, :, None]
     nb, m = max(len(ops), len(t)), ops.shape[1]
-    head = t[:, rows] if t.ndim > 1 else t
+    # the sources of the terms of the first slot (all its rows) and of the
+    # second (all its columns); every later slot's is the block itself
+    first = t[:, :, cols] if t.ndim > 2 else t
+    if head is None:
+        head = first[:, rows]
     shape = (nb, m) + head.shape[1:]
     out, term = (np.empty(shape) if x is None else x.reshape(-1)[:math.prod(shape)].reshape(shape)
                  for x in (out, term))
     dst = out
     for slot in range(rk, t.ndim - 1):
-        # -T(..., A X_slot, ...): one batched matmul over the slot's axis; on
-        # the first slot the rows are the columns of A, on the others of T
-        right = d ** (t.ndim - slot - 2)
-        src = head if slot else t
-        left = src.size // (len(src) * d * right)
+        # -T(..., A X_slot, ...): one batched matmul over the slot's axis, in
+        # which the slot's cut selects columns of A
+        src = first if slot == 0 else t[:, rows] if slot == 1 else head
+        cut = (rows, cols)[slot] if slot < 2 else slice(None)
+        left, right = math.prod(src.shape[1:slot + 1]), math.prod(src.shape[slot + 2:])
         if right == 1:
-            a = ops if slot else ops[..., rows]
-            np.matmul(src.reshape(len(src), 1, left, d), a, out=dst.reshape(nb, m, left, -1))
+            np.matmul(src.reshape(len(src), 1, left, d), ops[..., cut],
+                      out=dst.reshape(nb, m, left, -1))
         else:
-            a_t = ops_t if slot else ops_t[:, :, :, rows]
-            np.matmul(a_t, src.reshape(len(src), 1, left, d, right),
+            np.matmul(ops_t[:, :, :, cut], src.reshape(len(src), 1, left, d, right),
                       out=dst.reshape(nb, m, left, -1, right))
         if dst is out:
             np.negative(out, out=out)
@@ -202,7 +231,7 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
             np.subtract(out, dst, out=out)
     if rk == 1:
         # A(T(X_1, ..., X_k)) on the output slot
-        np.matmul(ops[:, :, rows], t.reshape(len(t), 1, d, -1),
+        np.matmul(ops[:, :, rows], first.reshape(len(t), 1, d, -1),
                   out=dst.reshape(nb, m, head.shape[1], -1))
         if dst is not out:
             np.add(out, dst, out=out)
@@ -265,6 +294,37 @@ def _openblas():
 _BLAS_LOCK = threading.Lock()
 
 
+@functools.cache
+def _blocks(d: int, parts: int, triangle: bool) -> tuple:
+    """The ``(rows, cols)`` slices of the first output pair (X1, X2) that a
+    sweep forms in ``parts`` blocks: row ranges [r_i, r_i+1), each times the
+    columns [r_i, d) when ``triangle`` (so the blocks cover X1 <= X2) or all
+    d columns.  Every block has at least two rows, so every matmul has at
+    least two (one row would take numpy's matrix-vector path, whose sums
+    round differently), and the largest block is as small as that allows."""
+    def area(r0, r1):
+        return (r1 - r0) * (d - r0 if triangle else d)
+
+    # best[j][r]: the smallest largest area that cuts rows r.. into j blocks,
+    # and the end of the first of them
+    best = [{d: (0, d)}]
+    for j in range(1, parts + 1):
+        best.append({r: min((max(area(r, r1), best[j - 1][r1][0]), r1)
+                            for r1 in range(r + 2, d + 1) if r1 in best[j - 1])
+                     for r in range(d - 2 * j + 1)})
+    bounds = [0]
+    for j in range(parts, 0, -1):
+        bounds.append(best[j][bounds[-1]][1])
+    return tuple((slice(r0, r1), slice(r0 if triangle else 0, d))
+                 for r0, r1 in zip(bounds, bounds[1:]))
+
+
+def _antisymmetric_in_first_pair(t: np.ndarray) -> bool:
+    """Whether the (B, d, d, ...) entries ``t`` change sign bit for bit under
+    the swap of their first two slots."""
+    return np.array_equal(t, -t.swapaxes(1, 2))
+
+
 def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | None = None
           ) -> np.ndarray:
     """Each trial's sups ``[sup|c Sum lhs - e Sum rhs|, sup|c Sum lhs|]`` of a
@@ -274,8 +334,11 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
     (B, d, d, d, d) entries ``targets[i]``, either of which may hold one
     trial that all B share; the first ``split`` products are the left side.
     ``coeffs`` is ``(c, e)``, where ``e`` may be one float per trial.  A
+    sweep of several slabs forms only the blocks over X1 <= X2 when every
+    target is antisymmetric in its first pair, the full square otherwise.  A
     value that is not finite is returned, not raised.  Each worker's buffers
-    are kept in ``pool``, when given, for the next call of as many products.
+    are kept in ``pool``, when given, for the next call of at most as many
+    products and slabs no larger.
     """
     trials = max(len(x) for x in (*stacks, *targets))
     count, d = stacks[0].shape[1], stacks[0].shape[-1]
@@ -284,18 +347,24 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
     # in ranges of at most SLAB_BYTES a product; a pair holds d^4 entries
     per = min(trials, max(1, SLAB_BYTES // (8 * count * d**4 * (len(stacks) + 1))))
     step = min(count, max(1, SLAB_BYTES // (8 * d**4)))
+    triangle = count > step and all(_antisymmetric_in_first_pair(t)
+                                    for t in {id(t): t for t in targets}.values())
     blas = _openblas() if count > step else None
-    # a block of one row would take numpy's matrix-vector path, whose sums
-    # round differently, so every block has at least two
     workers = min(len(os.sched_getaffinity(0)), d // 2) if blas else 1
-    bounds = [d * w // workers for w in range(workers + 1)]
+    blocks = _blocks(d, max(workers, 2) if triangle else workers, triangle)
     pool = [] if pool is None else pool
     jobs = []
-    for w, (r0, r1) in enumerate(zip(bounds, bounds[1:])):
-        size = per * step * (r1 - r0) * d**3
-        if len(pool) == w or pool[w][0].size < size:
-            pool[w:w + 1] = [[np.empty(size) for _ in range(len(stacks) + 1)]]
-        jobs.append((slice(r0, r1), pool[w]))
+    for w in range(workers):
+        mine = blocks[w::workers]
+        size = per * step * max((b.stop - b.start) * (c.stop - c.start) for b, c in mine) * d**2
+        if len(pool) == w or len(pool[w]) <= len(stacks) or pool[w][0].size < size:
+            pool[w:w + 1] = [None]  # the old buffers go before the new are made
+            pool[w] = [np.empty(size) for _ in range(len(stacks) + 1)]
+        # each target's block, contiguous, so that its last slots' terms are
+        # one matmul of the block's shape; made here, on the calling thread
+        heads = [{id(t): np.ascontiguousarray(t[:, rows, cols]) for t in targets}
+                 for rows, cols in mine]
+        jobs.append((mine, heads, pool[w]))
     # e broadcasts over the pair and slot axes of a slab of (0,4) targets
     c, e = coeffs[0], np.reshape(coeffs[1], (-1,) + (1,) * 5)
     stop = threading.Event() if workers > 1 else None
@@ -303,30 +372,33 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
     def part(x, b0, b1):
         return x[b0:b1] if len(x) > 1 else x
 
-    def sweep(rows, buffers):
-        """The sups over the ``rows`` of the products' first slot, formed in
-        ``buffers`` (one per product, then the term buffer), slab by slab
-        until another worker fails."""
+    def sweep(mine, heads, buffers):
+        """The sups over the blocks ``mine`` of the products' first output
+        pair, with the targets' ``heads`` on each, formed in ``buffers`` (one
+        per product, then the term buffer), slab by slab until another
+        worker fails."""
         *products, term = buffers
         sups = np.zeros((1 + (split < len(stacks)), trials))
         # a product that overflows gives a sup that is not finite
         with np.errstate(over="ignore", invalid="ignore"):
-            for b0, lo in itertools.product(range(0, trials, per), range(0, count, step)):
-                if stop is not None and stop.is_set():
-                    break
-                b1, hi = min(b0 + per, trials), min(lo + step, count)
-                slabs = [
-                    _action_slab(part(ops, b0, b1), part(t, b0, b1), 0, lo, hi, out, term, rows)
-                    for ops, t, out in zip(stacks, targets, products)
-                ]
-                left = _weighted_sum(slabs[:split], c)
-                arrays = [left]
-                if split < len(stacks):  # the defect, formed in the right side's buffer, first
-                    right = _weighted_sum(slabs[split:], part(e, b0, b1))
-                    arrays.insert(0, np.subtract(left, right, out=right))
-                for sup, x in zip(sups, arrays):
-                    worst = np.max(np.abs(x, out=x).reshape(b1 - b0, -1), axis=1)
-                    np.maximum(sup[b0:b1], worst, out=sup[b0:b1])
+            for (rows, cols), head in zip(mine, heads):
+                for b0, lo in itertools.product(range(0, trials, per), range(0, count, step)):
+                    if stop is not None and stop.is_set():
+                        return sups
+                    b1, hi = min(b0 + per, trials), min(lo + step, count)
+                    slabs = [
+                        _action_slab(part(ops, b0, b1), part(t, b0, b1), 0, lo, hi, out, term,
+                                     rows, cols, part(head[id(t)], b0, b1))
+                        for ops, t, out in zip(stacks, targets, products)
+                    ]
+                    left = _weighted_sum(slabs[:split], c)
+                    arrays = [left]
+                    if split < len(stacks):  # the defect, formed in the right side's buffer, first
+                        right = _weighted_sum(slabs[split:], part(e, b0, b1))
+                        arrays.insert(0, np.subtract(left, right, out=right))
+                    for sup, x in zip(sups, arrays):
+                        worst = np.max(np.abs(x, out=x).reshape(b1 - b0, -1), axis=1)
+                        np.maximum(sup[b0:b1], worst, out=sup[b0:b1])
         return sups
 
     if workers == 1:
@@ -379,6 +451,7 @@ def fused_sups(
     rhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]] = (),
     coeffs: tuple[float, float] = (1.0, 1.0),
     check: str = "derivation product",
+    pool: list | None = None,
 ) -> tuple[float, float]:
     """Sup norms of the relation ``c * Sum lhs = e * Sum rhs`` of derivation products.
 
@@ -389,11 +462,14 @@ def fused_sups(
     pairs forms every product once, in a buffer that all slabs reuse; a side
     is summed left to right in its first product's buffer, then scaled
     (unless its coefficient is 1.0).  Each actor is symmetry-checked once per
-    tensor and stage and, if it fails, warns once per call.
+    tensor and stage and, if it fails, warns once per call.  A caller that
+    passes the same ``pool`` list to several calls (a stage's relation rows)
+    lets them share the slab buffers, reallocated only for a call of more
+    products or larger slabs than they hold.
 
-    The pair layout and the workers are those of the module docstring, and
-    neither changes a bit.  Raises :class:`NumericBreakdownError`, naming
-    ``check``, when a reduced value is not finite.
+    The pair layout, the blocks and the workers are those of the module
+    docstring, and none changes a bit.  Raises :class:`NumericBreakdownError`,
+    naming ``check``, when a reduced value is not finite.
     """
     if not lhs:
         raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
@@ -403,7 +479,7 @@ def fused_sups(
         raise ValueError("curvature dims do not match")
     ops = {a: _checked_operators(a) for a in dict.fromkeys(a for a, _ in pairs)}
     sups = _relation_sups([(a.space, a.tensor.entries[None], ops[a], t.tensor.entries[None])
-                           for a, t in pairs], len(lhs), coeffs)[:, 0]
+                           for a, t in pairs], len(lhs), coeffs, pool)[:, 0]
     if not np.all(np.isfinite(sups)):
         raise NumericBreakdownError(_BREAKDOWN.format(check))
     return (float(sups[0]), float(sups[-1]))

@@ -96,10 +96,12 @@ def _relations(space: HermitianSpace, seed: int, tol: float, rows) -> list[Check
     """Check each row ``(name, lhs, rhs, (c, e))``, the relation
     ``c * Sum lhs = e * Sum rhs`` (see :func:`~qch.derivation.fused_sups`),
     to ``tol * (1 + |A| |T|)`` for the first product ``A . T`` of ``lhs``.  A
-    row with a non-empty ``rhs`` is guarded by ``sup|c * Sum lhs|``."""
+    row with a non-empty ``rhs`` is guarded by ``sup|c * Sum lhs|``.  The
+    rows share one set of slab buffers."""
+    pool: list = []
 
     def relation(name, lhs, rhs, coeffs):
-        defect, guard = fused_sups(lhs, rhs, coeffs, name)
+        defect, guard = fused_sups(lhs, rhs, coeffs, name, pool)
         actor, target = lhs[0]
         return (_vacuous(defect, guard, tol) if rhs else defect,
                 tol * (1.0 + max_abs(actor.tensor) * max_abs(target.tensor)))

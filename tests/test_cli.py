@@ -171,6 +171,16 @@ def test_a_multi_slab_verify_report_matches_the_golden_bytes(tmp_path, capsys):
     assert path.read_bytes() == (DATA / "verify_all_n5.json").read_bytes()
 
 
+def test_a_block_triangular_verify_report_matches_the_golden_bytes(tmp_path, capsys):
+    # d = 20: one pair a slab, each product formed on blocks of rows and
+    # columns of its first output pair that cover X1 <= X2 only
+    path = tmp_path / "v.json"
+    assert main(["verify", "theorem1", "--n", "10", "--trials", "1", "--seed", "7",
+                 "--no-timestamp", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == (DATA / "verify_theorem1_n10.json").read_bytes()
+
+
 def test_a_negative_seed_is_a_usage_error(capsys):
     assert main(["verify", "table", "--n", "2", "--seed", "-1"]) == 2
     assert "usage error: seed must be an integer >= 0" in capsys.readouterr().err

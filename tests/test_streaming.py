@@ -126,13 +126,18 @@ def _upper(d):
     return d * (d - 1) // 2
 
 
-def _row_blocks(d, cores):
-    """The (start, stop) row blocks of the products' first slot that a sweep
-    of several slabs on ``cores`` cores forms at dim ``d``: one per worker,
-    each of at least two rows."""
+def _sweep_blocks(d, cores, triangle=True):
+    """The (row start, row stop, column start) blocks of the products' first
+    output pair that a sweep of several slabs on ``cores`` cores forms at dim
+    ``d``: one per worker, and at least two over X1 <= X2 when ``triangle``,
+    each of at least two rows (its columns run to d)."""
     workers = min(cores, d // 2)
-    bounds = [d * w // workers for w in range(workers + 1)]
-    return list(zip(bounds, bounds[1:]))
+    blocks = derivation._blocks(d, max(workers, 2) if triangle else workers, triangle)
+    return [(rows.start, rows.stop, cols.start) for rows, cols in blocks]
+
+
+def _block_key(rows, cols):
+    return rows.start, rows.stop, cols.start
 
 
 needs_openblas = pytest.mark.skipif(
@@ -165,9 +170,10 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     real = derivation._action_slab
     seen = {}
 
-    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
-        seen.setdefault(t.shape[-1], set()).add((lo, hi, rows.start, rows.stop))
-        return real(ops, t, rk, lo, hi, out, term, rows)
+    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
+                  head=None):
+        seen.setdefault(t.shape[-1], set()).add((lo, hi, *_block_key(rows, cols)))
+        return real(ops, t, rk, lo, hi, out, term, rows, cols, head)
 
     for n, seed in itertools.product((2, 3, 4), (0, 1)):
         monkeypatch.setattr(derivation, "_action_slab", recording)
@@ -177,10 +183,12 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
         fused = {r.name: r.max_defect for r in results if r.name in DERIVATION_CHECKS}
         assert fused == dense, (n, seed)
         assert all(r.passed for r in results)
-    # a sweep of several slabs splits its rows between the two workers
+    # a sweep of several slabs forms two blocks over X1 <= X2, split between
+    # the two workers; a sweep of one slab forms the full square
     cores = 2 if derivation._openblas() else 1
-    blocks = {d: _row_blocks(d, cores if len(pairs) > 1 else 1) for d, pairs in slabs.items()}
-    assert seen == {d: {(*pair, *rows) for pair in slabs[d] for rows in blocks[d]}
+    blocks = {d: _sweep_blocks(d, cores) if len(pairs) > 1 else [(0, d, 0)]
+              for d, pairs in slabs.items()}
+    assert seen == {d: {(*pair, *block) for pair in slabs[d] for block in blocks[d]}
                     for d in slabs}
 
 
@@ -198,13 +206,15 @@ def _force_all_pairs(monkeypatch):
 
 
 def _record_stacks(monkeypatch):
-    """Record the stack length, pair range and row block of every slab formed."""
+    """Record the stack length, pair range and block (row start, row stop,
+    column start) of every slab formed."""
     real = derivation._action_slab
     seen = []
 
-    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
-        seen.append((ops.shape[1], lo, hi, rows.start, rows.stop))
-        return real(ops, t, rk, lo, hi, out, term, rows)
+    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
+                  head=None):
+        seen.append((ops.shape[1], lo, hi, *_block_key(rows, cols)))
+        return real(ops, t, rk, lo, hi, out, term, rows, cols, head)
 
     monkeypatch.setattr(derivation, "_action_slab", recording)
     return seen
@@ -252,10 +262,10 @@ def test_an_actor_one_ulp_from_antisymmetric_runs_every_pair(monkeypatch):
     # alone, and next to an actor that passes the gate
     assert derivation.fused_sups([(off, off)]) == (dense_off, dense_off)
     assert derivation.fused_sups([(pi, off)], [(off, off)]) == (dense_diff, dense_pi)
-    assert seen == [(d * d, 0, d * d, 0, d)] * 3
+    assert seen == [(d * d, 0, d * d, 0, d, 0)] * 3
     seen.clear()
     assert derivation.fused_sups([(pi, off)]) == (dense_pi, dense_pi)
-    assert seen == [(_upper(d), 0, _upper(d), 0, d)]
+    assert seen == [(_upper(d), 0, _upper(d), 0, d, 0)]
 
 
 def test_the_all_pairs_fallback_forms_each_actor_on_its_own_stage(monkeypatch):
@@ -293,6 +303,37 @@ def test_a_noisy_phi_fails_with_the_all_pairs_defects(monkeypatch, noisy_phi):
                           "table:pi.phi=2phi.phi", "table:pi.psi=2phi.psi"}
 
 
+def test_a_target_one_ulp_from_antisymmetric_forms_the_full_square(monkeypatch):
+    # d = 8 in slabs of 4 pairs on one core: targets antisymmetric in their
+    # first pair form the two blocks over X1 <= X2; one target one ulp off
+    # makes its relation form the full square.  The actors pass their own
+    # gate, so every relation runs the pairs U < V, and all give the dense sups
+    sp = random_adapted_change(make_space(4), 3)
+    d = sp.dim
+    pi = build_pi(sp)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    off = _one_ulp_off(r)
+    # a batch passes the gate only when each of its trials does
+    gate = derivation._antisymmetric_in_first_pair
+    assert gate(np.stack([pi.tensor.entries, r.tensor.entries]))
+    assert not gate(np.stack([pi.tensor.entries, off.tensor.entries]))
+    diagonal = np.array(r.tensor.entries)
+    diagonal[2, 2, 0, 1] = 1e-300
+    assert not gate(diagonal[None])
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * d**4)
+    _use_cores(monkeypatch, 1)
+    seen = _record_stacks(monkeypatch)
+    for lhs, rhs, blocks in [([(pi, r)], [(r, r)], _sweep_blocks(d, 1)),
+                             ([(pi, off)], [(r, off)], [(0, d, 0)]),
+                             ([(pi, r)], [(r, off)], [(0, d, 0)])]:
+        left = _dense_sum(lhs)
+        dense = (max_abs(left - 0.5 * _dense_sum(rhs)), max_abs(left))
+        seen.clear()
+        assert derivation.fused_sups(lhs, rhs, (1.0, 0.5)) == dense
+        assert {count for count, *_ in seen} == {_upper(d)}
+        assert {tuple(x[3:]) for x in seen} == set(blocks)
+
+
 # -- every slot branch of the kernel against the loop oracle ---------------------
 
 
@@ -310,22 +351,92 @@ def test_kernel_matches_the_loop_oracle_pair_by_pair(n, valence):
     pair_major = np.moveaxis(dense, (-2, -1), (0, 1)).reshape((d * d,) + t.shape)
     assert np.allclose(pair_major, oracle, rtol=0.0, atol=1e-13)
     # ragged slabs of 5 pairs of one trial, written into the same two buffers
-    # every time, over all rows of the first slot and over blocks of two or
-    # more rows
-    for rows in [slice(None), slice(0, 2), slice(1, d - 1), slice(2, d)]:
-        shape = (1, 5) + t[rows].shape
+    # every time, over all rows and columns of the first two slots and over
+    # blocks of two or more of each, with and without the block's entries
+    # given contiguous
+    full = slice(None)
+    for rows, cols in [(full, full), (slice(0, 2), full), (slice(1, d - 1), full),
+                       (slice(2, d), full), (slice(2, d), slice(2, d)),
+                       (slice(0, 2), slice(0, 3)), (slice(1, 3), slice(1, d - 1))]:
+        block = t[rows, cols]
+        shape = (1, 5) + block.shape
         out, term = np.empty(shape), np.empty(shape)
-        for lo in range(0, d * d, 5):
-            hi = min(lo + 5, d * d)
-            slab = derivation._action_slab(ops[None], t[None], valence[0], lo, hi, out, term, rows)
-            assert np.shares_memory(slab, out)
-            assert np.array_equal(slab[0], pair_major[lo:hi, rows]), rows
+        for head in (None, np.ascontiguousarray(block)[None]):
+            for lo in range(0, d * d, 5):
+                hi = min(lo + 5, d * d)
+                slab = derivation._action_slab(ops[None], t[None], valence[0], lo, hi, out, term,
+                                               rows, cols, head)
+                assert np.shares_memory(slab, out)
+                assert np.array_equal(slab[0], pair_major[lo:hi, rows, cols]), (rows, cols)
     # one row takes numpy's matrix-vector path: right, but not bit for bit
     one_row = derivation._action_slab(ops[None], t[None], valence[0], 0, d * d, rows=slice(1, 2))
     assert np.allclose(one_row[0], pair_major[:, 1:2], rtol=0.0, atol=1e-13)
 
 
-# -- workers over row blocks -------------------------------------------------------
+# -- blocks of the first output pair, and workers over them ------------------------
+
+
+@pytest.mark.parametrize("d", [4, 6, 10, 16, 20, 24])
+def test_the_blocks_cover_the_triangle_or_the_square_with_the_smallest_largest_block(d):
+    full = np.ones((d, d), int)
+    for parts, triangle in itertools.product(range(1, d // 2 + 1), (True, False)):
+        blocks = derivation._blocks(d, parts, triangle)
+        assert len(blocks) == parts
+        covered = np.zeros((d, d), int)
+        for rows, cols in blocks:
+            assert rows.stop - rows.start >= 2
+            assert cols == slice(rows.start if triangle else 0, d)
+            covered[rows, cols] += 1
+        # each entry at most once, every one of X1 <= X2 (or of the square)
+        assert covered.max() == 1
+        assert np.all(covered >= (np.triu(full) if triangle else full))
+        if parts > 4:
+            continue
+
+        def area(r0, r1):
+            return (r1 - r0) * (d - r0 if triangle else d)
+
+        # no cut into as many blocks of two or more rows has a smaller largest one
+        bounds = [(0, *cuts, d) for cuts in itertools.combinations(range(2, d - 1), parts - 1)]
+        best = min(max(area(a, b) for a, b in zip(x, x[1:])) for x in bounds
+                   if all(b - a >= 2 for a, b in zip(x, x[1:])))
+        assert max(area(rows.start, rows.stop) for rows, _ in blocks) == best, (parts, triangle)
+
+
+def _square_by_slot(a, t):
+    """A . T of the (d, d) endomorphism ``a`` on the (d, d, d, d) entries
+    ``t``, each slot's term one matmul over the full square."""
+    d = len(a)
+    terms = [(a.T @ t.reshape(d, -1)).reshape(t.shape),
+             np.matmul(a.T, t.reshape(d, d, d * d)).reshape(t.shape),
+             np.matmul(a.T, t.reshape(d * d, d, d)).reshape(t.shape),
+             (t.reshape(-1, d) @ a).reshape(t.shape)]
+    out = -terms[0]
+    for term in terms[1:]:
+        out = out - term
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_the_blocks_form_the_full_squares_entries_and_the_mirror_is_exact(n):
+    # the two blocks over X1 <= X2 that a sweep on one or two cores forms:
+    # at d = 20 OpenBLAS's small-matrix kernel (for M N K <= 1e6) rounds
+    # some of these sums otherwise, and every slot's matmul of either block
+    # stays on the full square's side of that cut, so each entry is the full
+    # square's; the entries at (X2, X1) are the exact negations of those at
+    # (X1, X2), so the sups over the blocks are those over the square
+    sp = random_adapted_change(make_space(n), 9)
+    d = sp.dim
+    r = combine(QCHCoefficients(1.3, -0.6, 2.2), sp)
+    ops, t = derivation._checked_operators(r), r.tensor.entries[None]
+    for lo in (0, 77, _upper(d) - 1):
+        square = _square_by_slot(ops[0, lo], t[0])[None, None]
+        assert np.array_equal(derivation._action_slab(ops, t, 0, lo, lo + 1), square)
+        assert np.array_equal(square, -square.swapaxes(2, 3))
+        for rows, cols in derivation._blocks(d, 2, True):
+            head = np.ascontiguousarray(t[:, rows, cols])
+            block = derivation._action_slab(ops, t, 0, lo, lo + 1, rows=rows, cols=cols, head=head)
+            assert np.array_equal(block, square[:, :, rows, cols]), (lo, rows)
 
 
 def _blas_threads():
@@ -401,7 +512,9 @@ def test_a_missing_blas_symbol_runs_one_worker(monkeypatch):
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
     seen = _record_stacks(monkeypatch)
     assert derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))[0] == dense
-    assert seen == [(_upper(8), lo, hi, 0, 8) for lo, hi in _pairs(_upper(8), 4) for _ in "rp"]
+    # the calling thread forms both blocks over X1 <= X2, one after the other
+    assert seen == [(_upper(8), lo, hi, *block) for block in _sweep_blocks(8, 1)
+                    for lo, hi in _pairs(_upper(8), 4) for _ in "rp"]
 
 
 @needs_openblas
@@ -413,9 +526,10 @@ def test_a_breakdown_in_one_worker_reaches_the_caller_with_the_check_name(monkey
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
     real = derivation._action_slab
 
-    def faulty(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
-        slab = real(ops, t, rk, lo, hi, out, term, rows)
-        if rows.start:  # only worker 1's rows overflow
+    def faulty(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
+               head=None):
+        slab = real(ops, t, rk, lo, hi, out, term, rows, cols, head)
+        if rows.start:  # only worker 1's block overflows
             slab.flat[0] = np.inf
         return slab
 
@@ -496,21 +610,22 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     slabs = []
     real_slab = derivation._action_slab
 
-    def counting_slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None)):
+    def counting_slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None),
+                      cols=slice(None), head=None):
         # a relation's products are one trial: its stack, and a view of its target
-        slabs.append((id(ops), id(t.base), lo, hi, rows.start, rows.stop))
-        return real_slab(ops, t, rk, lo, hi, out, term, rows)
+        slabs.append((id(ops), id(t.base), lo, hi, *_block_key(rows, cols)))
+        return real_slab(ops, t, rk, lo, hi, out, term, rows, cols, head)
 
     monkeypatch.setattr(derivation, "_action_slab", counting_slab)
     checks = _count_checks(monkeypatch)
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 4**4)
     products = [(psi, pi), (pi, psi), (phi, psi), (psi, phi)]
     derivation.fused_sups(products[:2], products[2:], (1.0, 2.0))
-    # every product of every (slab, row block) once; the two workers' slabs interleave
-    blocks = _row_blocks(4, 2 if derivation._openblas() else 1)
+    # every product of every (slab, block) once; the two workers' slabs interleave
+    blocks = _sweep_blocks(4, 2 if derivation._openblas() else 1)
     assert sorted(slabs) == sorted(
-        (id(derivation._checked_operators(a)), id(t.tensor.entries), lo, hi, *rows)
-        for a, t in products for lo, hi in [(0, 4), (4, 6)] for rows in blocks
+        (id(derivation._checked_operators(a)), id(t.tensor.entries), lo, hi, *block)
+        for a, t in products for lo, hi in [(0, 4), (4, 6)] for block in blocks
     )
     assert [id(arr.base) for arr in checks] == [id(r.tensor.entries) for r in (psi, pi, phi)]
 
@@ -679,6 +794,42 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
             assert peak <= (len(pairs) + 1) * slab + ops_bytes, (len(pairs), cores, peak)
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_one_pool_through_rows_of_one_two_and_four_products_gives_fresh_sups(n):
+    # buffers kept for fewer products are not reused as they are: a row of
+    # four products after one of two would otherwise drop two products; one
+    # slab at d = 4, pair slabs on every worker at d = 10
+    sp = random_adapted_change(make_space(n), 4)
+    pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
+    rows = [
+        ([(phi, phi)], [], (1.0, 1.0)),
+        ([(pi, phi)], [(phi, phi)], (1.0, 2.0)),
+        ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0)),
+    ]
+    fresh = [derivation.fused_sups(*row) for row in rows]
+    for order in ([0, 1, 2, 1, 0], [2, 1, 0, 2]):
+        pool: list = []
+        assert [derivation.fused_sups(*rows[i], "row", pool) for i in order] == [
+            fresh[i] for i in order]
+
+
+def test_the_relation_rows_of_a_stage_share_one_pool(monkeypatch):
+    pools = []
+    real = identities.fused_sups
+
+    def recording(lhs, rhs, coeffs, check, pool):
+        pools.append(pool)
+        return real(lhs, rhs, coeffs, check, pool)
+
+    monkeypatch.setattr(identities, "fused_sups", recording)
+    sp = make_space(2)
+    for verify, rows in [(verify_multiplication_table, 7), (verify_eq32, 3)]:
+        pools.clear()
+        assert all(r.passed for r in verify(sp))
+        assert len(pools) == rows and all(pool is pools[0] for pool in pools)
+        assert len(pools[0]) == 1 and len(pools[0][0]) == {7: 3, 3: 5}[rows]
+
+
 def _peak_rss_mb(argv):
     """Exit code, peak RSS in MB (NaN if the child died before reporting it)
     and stderr of ``qch`` run with ``argv`` in a fresh process.
@@ -735,13 +886,14 @@ def test_every_worker_count_gives_the_dense_sups_bit_for_bit(monkeypatch, n):
     r = combine(QCHCoefficients(1.3, -0.6, 2.2), sp)
     off = _one_ulp_off(r)
     f = 1.3 - 0.3
+    # the last relation's target fails the first-pair gate: the full square
     relations = [
-        ([(r, r)], [(pi, r)], (1.0, f)),
-        ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0)),
-        ([(off, off)], [(pi, off)], (1.0, f)),
+        ([(r, r)], [(pi, r)], (1.0, f), True),
+        ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0), True),
+        ([(off, off)], [(pi, off)], (1.0, f), False),
     ]
     dense = []
-    for lhs, rhs, (c, e) in relations:
+    for lhs, rhs, (c, e), _ in relations:
         left = c * _dense_sum(lhs)
         dense.append((max_abs(left - e * _dense_sum(rhs)), max_abs(left)))
     monkeypatch.setattr(derivation, "SLAB_BYTES", 5 * 8 * d**4)
@@ -749,10 +901,42 @@ def test_every_worker_count_gives_the_dense_sups_bit_for_bit(monkeypatch, n):
     # 5 cores make 4 workers at d = 8: five would leave one-row blocks
     for cores in (1, 2, 3, 5):
         _use_cores(monkeypatch, cores)
-        seen.clear()
-        assert [derivation.fused_sups(*rel) for rel in relations] == dense, cores
-        blocks = {(r0, r1) for *_, r0, r1 in seen}
-        assert blocks == set(_row_blocks(d, cores)), cores
+        for (*rel, triangle), expected in zip(relations, dense):
+            seen.clear()
+            assert derivation.fused_sups(*rel) == expected, (cores, triangle)
+            blocks = {x[3:] for x in seen}
+            assert blocks == set(_sweep_blocks(d, cores, triangle)), (cores, triangle)
+
+
+@needs_openblas
+def test_worker_counts_and_the_full_square_agree_across_the_small_matrix_cut(monkeypatch):
+    # d = 16, two pairs a slab: one worker's first-slot matmul over the full
+    # square has M N K = 16^5, above the 1e6 where OpenBLAS switches to its
+    # small-matrix kernel; two workers' and every block of the triangle's
+    # are below it
+    sp = random_adapted_change(make_space(8), 9)
+    pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
+    r = combine(QCHCoefficients(1.3, -0.6, 2.2), sp)
+    relations = [
+        ([(r, r)], [(pi, r)], (1.0, 1.3 - 0.3)),
+        ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0)),
+    ]
+    # the actors' stacks of pairs U < V, memoised before the gate is forced
+    assert all(derivation._checked_operators(a).shape[1] == _upper(16) for a in (pi, phi, psi, r))
+
+    def sups(cores, triangle):
+        _use_cores(monkeypatch, cores)
+        with monkeypatch.context() as m:
+            if not triangle:  # as for targets that fail the first-pair gate
+                m.setattr(derivation, "_antisymmetric_in_first_pair", lambda t: False)
+            return [derivation.fused_sups(*rel) for rel in relations]
+
+    square = sups(1, False)
+    # both defects are rounding errors, so a sum rounded otherwise shows
+    assert all(0.0 < defect < 1e-15 and guard > 0.1 for defect, guard in square)
+    for cores in (1, 2, 3, 4):
+        assert sups(cores, True) == square, cores
+        assert sups(cores, False) == square, cores
 
 
 # -- theorem1's trials in batches ----------------------------------------------------
