@@ -189,16 +189,20 @@ def _symmetry_defects(space: HermitianSpace, arr: np.ndarray) -> tuple:
     def perm(*axes):
         return arr.transpose(*range(lead), *(lead + a for a in axes))
 
-    def sup(x):
-        return np.max(np.abs(x), axis=(-4, -3, -2, -1))
+    def sup(x):  # of a fresh temporary, whose absolute value is taken in place
+        return np.max(np.abs(x, out=x), axis=(-4, -3, -2, -1))
 
     anti = np.maximum(sup(arr + perm(1, 0, 2, 3)), sup(arr + perm(0, 1, 3, 2)))
     pair = sup(arr - perm(2, 3, 0, 1))
-    bianchi = sup(arr + perm(2, 0, 1, 3) + perm(1, 2, 0, 3))
+    bianchi = arr + perm(2, 0, 1, 3)
+    bianchi += perm(1, 2, 0, 3)
+    bianchi = sup(bianchi)  # which frees the sum before the pull-back
     # R(JX, JY, Z, U) as two matmuls over the first two slots
     d, jt, shape = space.dim, space.J.entries.T, arr.shape[:lead]
     pulled = np.matmul(jt, (jt @ arr.reshape(shape + (d, -1))).reshape(shape + (d, d, -1)))
-    return anti, pair, bianchi, sup(pulled.reshape(arr.shape) - arr), sup(arr)
+    pulled = pulled.reshape(arr.shape)
+    pulled -= arr
+    return anti, pair, bianchi, sup(pulled), sup(np.abs(arr))
 
 
 def _kahler_verdict(defects, size, tol: float):

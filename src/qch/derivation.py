@@ -7,67 +7,35 @@ covariant slots, plus composition on the output slot.  Acting with every
 basis pair at once yields a tensor with two extra covariant slots; the slot
 order of the result is (original slots..., U, V).
 
-For a (0,4) target that result has d^6 entries: 1.5 GB at real dimension
-d = 24.  Every check is a linear relation ``c * Sum lhs = e * Sum rhs`` among
-such products and needs only sup norms, so one driver streams the products
-in slabs of at most :data:`SLAB_BYTES` (1 MB), forms the relation in place
-and reduces each slab as soon as it is formed; no (0,6) array is built.  It
-has a leading trial axis: a relation row of :func:`fused_sups` is one trial,
-and :func:`pseudosymmetry_sups` runs theorem1's draws in batches.  A slab is
-several whole trials, whose buffers together hold at most SLAB_BYTES (28 at
-d = 4, 2 at d = 6, one at d = 8), or a range of (U, V) pairs of one trial
-(13 at d = 10, one from d = 20 on); each trial's matmuls keep a lone trial's
-shapes, so batching changes no bit.  Each curvature, a lone actor (once per
-tensor and stage) or a batch of combinations, is prepared in one place: its
-Kahler-type symmetry check, then its operators.  When R(V, U) = -R(U, V) bit
-for bit, as for the model blocks, their combinations and product curvatures
-by construction, its stack holds only the pairs U < V.  That is exact:
-negating an operator negates every rounded product and sum, so each linear
-combination of products at (V, U) is the exact negation of the one at
-(U, V), and zero at U = V.  An actor with all d^2 pairs in its stack (a
-perturbed block, a user tensor, one off by an ulp) makes every actor of its
-relation run all d^2 pairs, each formed on its own stage.  Each slot's term
-is one batched matmul into that layout, and a sweep allocates one buffer per
-product and one term buffer, which every slab reuses.
+The checks stream these d^6-entry products in slabs of at most
+:data:`SLAB_BYTES` and keep only sup norms.  The layout rests on these
+invariants, each exact bit for bit:
 
-A sweep of pair ranges (d >= 10) forms each product in blocks of its first
-output pair (X1, X2): row ranges [r_i, r_i+1) of X1, each times the columns
-[r_i, d) of X2, so that the blocks cover X1 <= X2, and balanced by area (at
-least two blocks, each of at least two rows).  That is exact when every
-target is antisymmetric in its first pair bit for bit, as the model blocks,
-their combinations and product curvatures are: each of the first two
-slots' terms at (X2, X1) sums the negated products of the other's term at
-(X1, X2), over the same index in the same order (as OpenBLAS's kernels do;
-the tests check the mirror at d = 16 and 20), and the last two slots' terms
-negate outright, so the product, and every linear combination of products,
-at (X2, X1) is the exact negation of the one at (X1, X2), and its sup is
-reached on X1 <= X2.  The gate is an exact comparison of each target (or
-batch) with its first-pair transpose; a target that fails it makes its
-relation form the full square, in full-width row blocks.  A sweep of one
-slab forms the full square as one block.  The blocks run on one worker per
-available core, at most d/2: the calling thread and a ``threading.Thread``
-for each other, the one worker of a single core forming both triangle
-blocks in turn.  Each worker's buffers hold its own blocks, and each
-target's block is copied once per sweep into contiguous entries, so that
-the last two slots' terms are one matmul of the block's shape.  Meanwhile
-numpy's bundled OpenBLAS is pinned to one thread (through ``ctypes``; more
-would oversubscribe the cores) under a module lock, and its count is
-restored when the last worker has joined; where its thread control is not
-found the sweep runs on the calling thread alone.  Each sup is a max over
-blocks and slabs.  A block of two or more rows and columns rounds every
-entry as the full square does as long as each slot's matmul stays on the
-same side of the size (M N K = 1e6 in OpenBLAS 0.3.31) below which OpenBLAS
-uses a small-matrix kernel, which sums some entries otherwise at d = 20;
-the tests pin each block's entries at d = 16 and 20, the sups of every
-worker count at d = 16, and the reports at d = 10 and 20.  :func:`curv_dot`
-returns the full product, from the same slab function over all d^2 pairs,
-with the pair axes moved back to the end.
+- U < V mirror.  A curvature with R(V, U) = -R(U, V) bit for bit (the gate
+  is ``np.array_equal``) has a stack of the pairs U < V only: negating an
+  operator negates every rounded product and sum, so each linear
+  combination of products at (V, U) is the exact negation of the one at
+  (U, V), and zero at U = V.  A relation whose stacks disagree expands each
+  U < V stack to all d^2 pairs by that negation (:func:`_all_pairs`).
+- X1 <= X2 mirror.  When every target is antisymmetric in its first output
+  pair bit for bit, each slot's term at (X2, X1) sums the negated terms at
+  (X1, X2) in the same order, so a sweep's sups are reached on X1 <= X2.
+- Two fixed blocks.  A sweep of several slabs forms each product on the two
+  blocks of :func:`_blocks`, which depend on d alone; cores decide only
+  whether one worker forms both or two form one each.  A sweep of one slab
+  forms the full square as one block.
+- Small-matrix cut.  OpenBLAS (0.3.31) sums some entries of a matmul with
+  M N K <= 1e6 otherwise than a larger one's, so a block's entries equal the
+  full square's only while each of its matmuls stays on the same side of
+  that cut; the tests pin them at d = 16 and 20.
+- BLAS pin.  While two workers run, numpy's bundled OpenBLAS is pinned to
+  one thread under a module lock and restored when both have joined; where
+  its thread control is not found the sweep runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import glob
 import itertools
 import math
@@ -157,7 +125,7 @@ def _prepared(space: HermitianSpace, arr: np.ndarray) -> tuple:
     return ops.reshape(len(arr), d * d, d, d), size, texts
 
 
-# Stage, (1, P, d, d) stack, sup norm and warning of each curvature in use,
+# Stage, (1, P, d, d) stack and warning text of each curvature in use,
 # keyed by its entries (immutable, hashed by identity) so that every wrapper
 # of a stage's blocks finds them; the stage is held weakly, as it holds them.
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -170,9 +138,9 @@ def _checked_operators(r: CurvatureTensor) -> np.ndarray:
     """
     memo = _OPERATORS.get(r.tensor)
     if memo is None or memo[0]() is not r.space:
-        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space),
-                                       *_prepared(r.space, r.tensor.entries[None]))
-    _, ops, _, (text,) = memo
+        ops, _, (text,) = _prepared(r.space, r.tensor.entries[None])
+        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space), ops, text)
+    _, ops, text = memo
     if text is not None:
         warnings.warn(text, KahlerSymmetryWarning, stacklevel=3)
     return ops
@@ -294,29 +262,28 @@ def _openblas():
 _BLAS_LOCK = threading.Lock()
 
 
-@functools.cache
-def _blocks(d: int, parts: int, triangle: bool) -> tuple:
-    """The ``(rows, cols)`` slices of the first output pair (X1, X2) that a
-    sweep forms in ``parts`` blocks: row ranges [r_i, r_i+1), each times the
-    columns [r_i, d) when ``triangle`` (so the blocks cover X1 <= X2) or all
-    d columns.  Every block has at least two rows, so every matmul has at
-    least two (one row would take numpy's matrix-vector path, whose sums
-    round differently), and the largest block is as small as that allows."""
-    def area(r0, r1):
-        return (r1 - r0) * (d - r0 if triangle else d)
+def _blocks(d: int, triangle: bool) -> tuple:
+    """The two ``(rows, cols)`` blocks of the first output pair (X1, X2) that
+    a sweep of several slabs forms: rows [0, r) times all d columns, and rows
+    [r, d) times the columns [r, d) when ``triangle`` (so the two cover
+    X1 <= X2) or all d.  Each has at least two rows (one row would take
+    numpy's matrix-vector path, whose sums round otherwise), and r makes the
+    larger block's area as small as that allows, the smaller r on a tie."""
+    r = min(range(2, d - 1), key=lambda r: max(r * d, (d - r) * (d - r if triangle else d)))
+    return (slice(0, r), slice(0, d)), (slice(r, d), slice(r if triangle else 0, d))
 
-    # best[j][r]: the smallest largest area that cuts rows r.. into j blocks,
-    # and the end of the first of them
-    best = [{d: (0, d)}]
-    for j in range(1, parts + 1):
-        best.append({r: min((max(area(r, r1), best[j - 1][r1][0]), r1)
-                            for r1 in range(r + 2, d + 1) if r1 in best[j - 1])
-                     for r in range(d - 2 * j + 1)})
-    bounds = [0]
-    for j in range(parts, 0, -1):
-        bounds.append(best[j][bounds[-1]][1])
-    return tuple((slice(r0, r1), slice(r0 if triangle else 0, d))
-                 for r0, r1 in zip(bounds, bounds[1:]))
+
+def _all_pairs(ops: np.ndarray) -> np.ndarray:
+    """The (B, d*d, d, d) stack of all pairs ``U * d + V`` of the (B, P, d, d)
+    stack ``ops`` of the pairs U < V: ``ops`` at (U, V), their negation at
+    (V, U) and zero at U = V, which is exact as the stack passed the gate
+    R(V, U) = -R(U, V) bit for bit."""
+    d = ops.shape[-1]
+    u, v = np.triu_indices(d, 1)
+    full = np.zeros((len(ops), d, d, d, d))
+    full[:, u, v] = ops
+    full[:, v, u] = -ops
+    return full.reshape(len(ops), d * d, d, d)
 
 
 def _antisymmetric_in_first_pair(t: np.ndarray) -> bool:
@@ -333,25 +300,30 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
     Product i acts with the (B, P, d, d) operator stack ``stacks[i]`` on the
     (B, d, d, d, d) entries ``targets[i]``, either of which may hold one
     trial that all B share; the first ``split`` products are the left side.
-    ``coeffs`` is ``(c, e)``, where ``e`` may be one float per trial.  A
-    sweep of several slabs forms only the blocks over X1 <= X2 when every
-    target is antisymmetric in its first pair, the full square otherwise.  A
-    value that is not finite is returned, not raised.  Each worker's buffers
-    are kept in ``pool``, when given, for the next call of at most as many
-    products and slabs no larger.
+    ``coeffs`` is ``(c, e)``, where ``e`` may be one float per trial.  When
+    the stacks' pair counts disagree, each stack of the pairs U < V is
+    expanded to all pairs.  A sweep of several slabs forms only the blocks
+    over X1 <= X2 when every target is antisymmetric in its first pair, the
+    full square otherwise.  A value that is not finite is returned, not
+    raised.  Each worker's buffers are kept in ``pool``, when given, for the
+    next call of at most as many products and slabs no larger.
     """
-    trials = max(len(x) for x in (*stacks, *targets))
-    count, d = stacks[0].shape[1], stacks[0].shape[-1]
+    trials, d = max(len(x) for x in (*stacks, *targets)), stacks[0].shape[-1]
+    if len({ops.shape[1] for ops in stacks}) > 1:
+        stacks = [ops if ops.shape[1] == d * d else _all_pairs(ops) for ops in stacks]
+    count = stacks[0].shape[1]
     # a slab is several whole trials, whose buffers (one a product and the
     # term buffer) together hold at most SLAB_BYTES, or one trial, its pairs
     # in ranges of at most SLAB_BYTES a product; a pair holds d^4 entries
     per = min(trials, max(1, SLAB_BYTES // (8 * count * d**4 * (len(stacks) + 1))))
     step = min(count, max(1, SLAB_BYTES // (8 * d**4)))
-    triangle = count > step and all(_antisymmetric_in_first_pair(t)
-                                    for t in {id(t): t for t in targets}.values())
-    blas = _openblas() if count > step else None
-    workers = min(len(os.sched_getaffinity(0)), d // 2) if blas else 1
-    blocks = _blocks(d, max(workers, 2) if triangle else workers, triangle)
+    if count > step:
+        blocks = _blocks(d, all(_antisymmetric_in_first_pair(t)
+                                for t in {id(t): t for t in targets}.values()))
+        blas = _openblas()
+    else:
+        blocks, blas = ((slice(0, d), slice(0, d)),), None
+    workers = min(len(os.sched_getaffinity(0)), 2) if blas else 1
     pool = [] if pool is None else pool
     jobs = []
     for w in range(workers):
@@ -433,19 +405,6 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
     return np.max(results, axis=0)
 
 
-def _relation_sups(products: list, split: int, coeffs: tuple, pool=None) -> np.ndarray:
-    """:func:`_sups` of the ``products`` ``(space, actor, ops, target)``: an
-    actor's (B, d, d, d, d) entries on its stage, their stack from
-    :func:`_prepared` and the target's (B, ...) entries, any of which may
-    hold one trial that all share.  When the stacks' pair layouts disagree,
-    every actor runs all d*d pairs, formed afresh on its own stage."""
-    count, d = max(ops.shape[1] for _, _, ops, _ in products), products[0][1].shape[-1]
-    stacks = [ops if ops.shape[1] == count else
-              _operators(space, actor).reshape(len(actor), count, d, d)
-              for space, actor, ops, _ in products]
-    return _sups(stacks, [t for *_, t in products], split, coeffs, pool)
-
-
 def fused_sups(
     lhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]],
     rhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]] = (),
@@ -478,8 +437,8 @@ def fused_sups(
     if any(c.space.dim != d for pair in pairs for c in pair):
         raise ValueError("curvature dims do not match")
     ops = {a: _checked_operators(a) for a in dict.fromkeys(a for a, _ in pairs)}
-    sups = _relation_sups([(a.space, a.tensor.entries[None], ops[a], t.tensor.entries[None])
-                           for a, t in pairs], len(lhs), coeffs, pool)[:, 0]
+    sups = _sups([ops[a] for a, _ in pairs], [t.tensor.entries[None] for _, t in pairs],
+                 len(lhs), coeffs, pool)[:, 0]
     if not np.all(np.isfinite(sups)):
         raise NumericBreakdownError(_BREAKDOWN.format(check))
     return (float(sups[0]), float(sups[-1]))
@@ -509,8 +468,7 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
         with np.errstate(over="ignore", invalid="ignore"):
             rs = _combination(space, a, b, c)
             ops, size, texts = _prepared(space, rs)
-            products = [(space, rs, ops, rs), (space, pi.tensor.entries[None], pi_ops, rs)]
-            defect, guard = _relation_sups(products, 1, (1.0, factors[b0:b0 + per]), pool)
+            defect, guard = _sups([ops, pi_ops], [rs, rs], 1, (1.0, factors[b0:b0 + per]), pool)
         for i, row in enumerate(draws[b0:b0 + per].tolist()):
             if not math.isfinite(size[i]):
                 raise UsageError(f"coefficients {tuple(row)} give a curvature that is not finite")

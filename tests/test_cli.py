@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qch import cli, profiles
+from qch import cli, derivation, profiles
 from qch import (
     SUITES,
     UsageError,
@@ -161,24 +161,36 @@ def test_verify_report_matches_the_golden_bytes(tmp_path, capsys):
     assert path.read_bytes() == (DATA / "verify_all_n3.json").read_bytes()
 
 
-def test_a_multi_slab_verify_report_matches_the_golden_bytes(tmp_path, capsys):
-    # d = 10: every relation row sweeps several pair-range slabs, which a
-    # machine of two or more cores splits by rows between two workers
+def _assert_golden_on_every_core_count(monkeypatch, tmp_path, capsys, argv, golden):
+    """Run ``argv`` on the cores available and on 1, 3 and 4 simulated ones
+    (a sweep of several slabs runs on one worker or two): every report must
+    be the golden bytes."""
     path = tmp_path / "v.json"
-    assert main(["verify", "all", "--n", "5", "--seed", "1", "--trials", "3",
-                 "--no-timestamp", "--json", str(path)]) == 0
-    capsys.readouterr()
-    assert path.read_bytes() == (DATA / "verify_all_n5.json").read_bytes()
+    for cores in (None, 1, 3, 4):
+        if cores is not None:
+            monkeypatch.setattr(derivation.os, "sched_getaffinity",
+                                lambda pid: set(range(cores)))
+        assert main([*argv, "--no-timestamp", "--json", str(path)]) == 0, cores
+        capsys.readouterr()
+        assert path.read_bytes() == (DATA / golden).read_bytes(), cores
 
 
-def test_a_block_triangular_verify_report_matches_the_golden_bytes(tmp_path, capsys):
-    # d = 20: one pair a slab, each product formed on blocks of rows and
-    # columns of its first output pair that cover X1 <= X2 only
-    path = tmp_path / "v.json"
-    assert main(["verify", "theorem1", "--n", "10", "--trials", "1", "--seed", "7",
-                 "--no-timestamp", "--json", str(path)]) == 0
-    capsys.readouterr()
-    assert path.read_bytes() == (DATA / "verify_theorem1_n10.json").read_bytes()
+def test_a_multi_slab_verify_report_matches_the_golden_bytes(monkeypatch, tmp_path, capsys):
+    # d = 10: every relation row sweeps several pair-range slabs, each product
+    # formed on two blocks of its first output pair that cover X1 <= X2
+    _assert_golden_on_every_core_count(
+        monkeypatch, tmp_path, capsys,
+        ["verify", "all", "--n", "5", "--seed", "1", "--trials", "3"], "verify_all_n5.json")
+
+
+def test_a_block_triangular_verify_report_matches_the_golden_bytes(monkeypatch, tmp_path, capsys):
+    # d = 20: one pair a slab, each product formed on the two blocks over
+    # X1 <= X2, whose matmuls stay on the full square's side of OpenBLAS's
+    # small-matrix cut
+    _assert_golden_on_every_core_count(
+        monkeypatch, tmp_path, capsys,
+        ["verify", "theorem1", "--n", "10", "--trials", "1", "--seed", "7"],
+        "verify_theorem1_n10.json")
 
 
 def test_a_negative_seed_is_a_usage_error(capsys):

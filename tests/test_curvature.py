@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -149,6 +150,23 @@ def test_a_used_stage_dies_with_its_blocks():
 
 
 # -- symmetry reports ---------------------------------------------------------
+
+
+def test_the_symmetry_check_holds_at_most_two_temporaries_above_its_input():
+    # each defect takes its absolute value in place and the J pull-back
+    # subtracts in place, so the peak is the two matmuls of the pull-back
+    sp = random_adapted_change(make_space(8), 3)
+    arr = combine(QCHCoefficients(0.7, -1.3, 2.1), sp).tensor.entries[None]
+    assert not arr.flags.writeable
+    expected = curvature._symmetry_defects(sp, arr)
+    tracemalloc.start()
+    try:
+        defects = curvature._symmetry_defects(sp, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a, b) for a, b in zip(defects, expected))
+    assert peak <= 2 * arr.nbytes + 2**16, peak / arr.nbytes
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -126,14 +126,12 @@ def _upper(d):
     return d * (d - 1) // 2
 
 
-def _sweep_blocks(d, cores, triangle=True):
+def _sweep_blocks(d, triangle=True):
     """The (row start, row stop, column start) blocks of the products' first
-    output pair that a sweep of several slabs on ``cores`` cores forms at dim
-    ``d``: one per worker, and at least two over X1 <= X2 when ``triangle``,
-    each of at least two rows (its columns run to d)."""
-    workers = min(cores, d // 2)
-    blocks = derivation._blocks(d, max(workers, 2) if triangle else workers, triangle)
-    return [(rows.start, rows.stop, cols.start) for rows, cols in blocks]
+    output pair that a sweep of several slabs forms at dim ``d``, on any
+    number of cores: two over X1 <= X2 when ``triangle``, two full-width row
+    blocks otherwise (the columns of each run to d)."""
+    return [(rows.start, rows.stop, cols.start) for rows, cols in derivation._blocks(d, triangle)]
 
 
 def _block_key(rows, cols):
@@ -147,7 +145,7 @@ needs_openblas = pytest.mark.skipif(
 
 def _use_cores(monkeypatch, cores):
     """Make ``cores`` cores available to the sweep, so a sweep of several
-    slabs runs on ``min(cores, d // 2)`` workers (one when OpenBLAS's thread
+    slabs runs on ``min(cores, 2)`` workers (one when OpenBLAS's thread
     control is not found)."""
     monkeypatch.setattr(derivation.os, "sched_getaffinity", lambda pid: set(range(cores)))
 
@@ -185,8 +183,7 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
         assert all(r.passed for r in results)
     # a sweep of several slabs forms two blocks over X1 <= X2, split between
     # the two workers; a sweep of one slab forms the full square
-    cores = 2 if derivation._openblas() else 1
-    blocks = {d: _sweep_blocks(d, cores) if len(pairs) > 1 else [(0, d, 0)]
+    blocks = {d: _sweep_blocks(d) if len(pairs) > 1 else [(0, d, 0)]
               for d, pairs in slabs.items()}
     assert seen == {d: {(*pair, *block) for pair in slabs[d] for block in blocks[d]}
                     for d in slabs}
@@ -268,7 +265,7 @@ def test_an_actor_one_ulp_from_antisymmetric_runs_every_pair(monkeypatch):
     assert seen == [(_upper(d), 0, _upper(d), 0, d, 0)]
 
 
-def test_the_all_pairs_fallback_forms_each_actor_on_its_own_stage(monkeypatch):
+def test_the_all_pairs_fallback_expands_each_stack_formed_on_its_own_stage(monkeypatch):
     # two stages of one dimension, the second with basis vectors twice as
     # long (g = 4 I), so the same entries give operators a quarter the size:
     # operators formed on the wrong stage give other sups
@@ -279,11 +276,29 @@ def test_the_all_pairs_fallback_forms_each_actor_on_its_own_stage(monkeypatch):
     pi = build_pi(first)
     off = _one_ulp_off(combine(QCHCoefficients(0.7, -1.3, 2.1), second))
     seen = _record_stacks(monkeypatch)
-    # either actor first: Pi's stack of pairs U < V is formed afresh for all pairs
+    # either actor first: Pi's stack of pairs U < V is expanded to all pairs
     for lhs, rhs in [((pi, off), (off, off)), ((off, off), (pi, off))]:
         dense = (max_abs(curv_dot(*lhs) - curv_dot(*rhs)), max_abs(curv_dot(*lhs)))
         assert derivation.fused_sups([lhs], [rhs]) == dense
     assert {count for count, *_ in seen} == {d * d}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_all_pairs_expansion_equals_the_all_pairs_operators(n):
+    # the stack of pairs U < V, its negation at (V, U) and zero at U = V
+    # equal the operators formed for all pairs (signed zeros compare equal)
+    sp = random_adapted_change(make_space(n), n)
+    d = sp.dim
+    k, l = np.random.default_rng(n).uniform(-2.0, 2.0, size=2)
+    curvatures = [build_pi(sp), build_phi(sp), build_psi(sp),
+                  combine(QCHCoefficients(0.7, -1.3, 2.1), sp),
+                  combine(QCHCoefficients(-2.4, 0.3, 1.9), sp),
+                  product_curvature(k, l, sp), product_curvature(k, -k, sp)]
+    for r in curvatures:
+        upper = derivation._checked_operators(r)
+        assert upper.shape == (1, _upper(d), d, d)
+        dense = derivation.curvature_operators(r).reshape(1, d * d, d, d)
+        assert np.array_equal(derivation._all_pairs(upper), dense)
 
 
 def test_a_noisy_phi_fails_with_the_all_pairs_defects(monkeypatch, noisy_phi):
@@ -306,8 +321,9 @@ def test_a_noisy_phi_fails_with_the_all_pairs_defects(monkeypatch, noisy_phi):
 def test_a_target_one_ulp_from_antisymmetric_forms_the_full_square(monkeypatch):
     # d = 8 in slabs of 4 pairs on one core: targets antisymmetric in their
     # first pair form the two blocks over X1 <= X2; one target one ulp off
-    # makes its relation form the full square.  The actors pass their own
-    # gate, so every relation runs the pairs U < V, and all give the dense sups
+    # makes its relation form the full square, in two full-width row blocks.
+    # The actors pass their own gate, so every relation runs the pairs U < V,
+    # and all give the dense sups
     sp = random_adapted_change(make_space(4), 3)
     d = sp.dim
     pi = build_pi(sp)
@@ -323,9 +339,9 @@ def test_a_target_one_ulp_from_antisymmetric_forms_the_full_square(monkeypatch):
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * d**4)
     _use_cores(monkeypatch, 1)
     seen = _record_stacks(monkeypatch)
-    for lhs, rhs, blocks in [([(pi, r)], [(r, r)], _sweep_blocks(d, 1)),
-                             ([(pi, off)], [(r, off)], [(0, d, 0)]),
-                             ([(pi, r)], [(r, off)], [(0, d, 0)])]:
+    for lhs, rhs, blocks in [([(pi, r)], [(r, r)], _sweep_blocks(d)),
+                             ([(pi, off)], [(r, off)], _sweep_blocks(d, False)),
+                             ([(pi, r)], [(r, off)], _sweep_blocks(d, False))]:
         left = _dense_sum(lhs)
         dense = (max_abs(left - 0.5 * _dense_sum(rhs)), max_abs(left))
         seen.clear()
@@ -379,9 +395,9 @@ def test_kernel_matches_the_loop_oracle_pair_by_pair(n, valence):
 @pytest.mark.parametrize("d", [4, 6, 10, 16, 20, 24])
 def test_the_blocks_cover_the_triangle_or_the_square_with_the_smallest_largest_block(d):
     full = np.ones((d, d), int)
-    for parts, triangle in itertools.product(range(1, d // 2 + 1), (True, False)):
-        blocks = derivation._blocks(d, parts, triangle)
-        assert len(blocks) == parts
+    for triangle in (True, False):
+        blocks = derivation._blocks(d, triangle)
+        assert len(blocks) == 2
         covered = np.zeros((d, d), int)
         for rows, cols in blocks:
             assert rows.stop - rows.start >= 2
@@ -390,17 +406,13 @@ def test_the_blocks_cover_the_triangle_or_the_square_with_the_smallest_largest_b
         # each entry at most once, every one of X1 <= X2 (or of the square)
         assert covered.max() == 1
         assert np.all(covered >= (np.triu(full) if triangle else full))
-        if parts > 4:
-            continue
 
         def area(r0, r1):
             return (r1 - r0) * (d - r0 if triangle else d)
 
-        # no cut into as many blocks of two or more rows has a smaller largest one
-        bounds = [(0, *cuts, d) for cuts in itertools.combinations(range(2, d - 1), parts - 1)]
-        best = min(max(area(a, b) for a, b in zip(x, x[1:])) for x in bounds
-                   if all(b - a >= 2 for a, b in zip(x, x[1:])))
-        assert max(area(rows.start, rows.stop) for rows, _ in blocks) == best, (parts, triangle)
+        # no cut into two blocks of two or more rows has a smaller largest one
+        best = min(max(area(0, cut), area(cut, d)) for cut in range(2, d - 1))
+        assert max(area(rows.start, rows.stop) for rows, _ in blocks) == best, triangle
 
 
 def _square_by_slot(a, t):
@@ -419,7 +431,7 @@ def _square_by_slot(a, t):
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_the_blocks_form_the_full_squares_entries_and_the_mirror_is_exact(n):
-    # the two blocks over X1 <= X2 that a sweep on one or two cores forms:
+    # the two blocks over X1 <= X2 that a sweep of several slabs forms:
     # at d = 20 OpenBLAS's small-matrix kernel (for M N K <= 1e6) rounds
     # some of these sums otherwise, and every slot's matmul of either block
     # stays on the full square's side of that cut, so each entry is the full
@@ -433,7 +445,7 @@ def test_the_blocks_form_the_full_squares_entries_and_the_mirror_is_exact(n):
         square = _square_by_slot(ops[0, lo], t[0])[None, None]
         assert np.array_equal(derivation._action_slab(ops, t, 0, lo, lo + 1), square)
         assert np.array_equal(square, -square.swapaxes(2, 3))
-        for rows, cols in derivation._blocks(d, 2, True):
+        for rows, cols in derivation._blocks(d, True):
             head = np.ascontiguousarray(t[:, rows, cols])
             block = derivation._action_slab(ops, t, 0, lo, lo + 1, rows=rows, cols=cols, head=head)
             assert np.array_equal(block, square[:, :, rows, cols]), (lo, rows)
@@ -467,8 +479,8 @@ def test_a_split_sweep_pins_blas_to_one_thread_and_restores_it(monkeypatch):
         assert {count for _, count in during} == {1}
         assert len({ident for ident, _ in during}) == 2
         assert get() == 2
-        # concurrent sweeps, of more workers than this box may have cores and
-        # with frequent thread switches, neither mix rows nor leave it pinned
+        # concurrent sweeps on three cores (two workers each), with frequent
+        # thread switches, neither mix rows nor leave it pinned
         _use_cores(monkeypatch, 3)
         expected = derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))
         got = []
@@ -513,7 +525,7 @@ def test_a_missing_blas_symbol_runs_one_worker(monkeypatch):
     seen = _record_stacks(monkeypatch)
     assert derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))[0] == dense
     # the calling thread forms both blocks over X1 <= X2, one after the other
-    assert seen == [(_upper(8), lo, hi, *block) for block in _sweep_blocks(8, 1)
+    assert seen == [(_upper(8), lo, hi, *block) for block in _sweep_blocks(8)
                     for lo, hi in _pairs(_upper(8), 4) for _ in "rp"]
 
 
@@ -622,7 +634,7 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     products = [(psi, pi), (pi, psi), (phi, psi), (psi, phi)]
     derivation.fused_sups(products[:2], products[2:], (1.0, 2.0))
     # every product of every (slab, block) once; the two workers' slabs interleave
-    blocks = _sweep_blocks(4, 2 if derivation._openblas() else 1)
+    blocks = _sweep_blocks(4)
     assert sorted(slabs) == sorted(
         (id(derivation._checked_operators(a)), id(t.tensor.entries), lo, hi, *block)
         for a, t in products for lo, hi in [(0, 4), (4, 6)] for block in blocks
@@ -765,8 +777,8 @@ def test_cli_exit_codes_for_tolerance_and_breakdown(capsys):
 @pytest.mark.parametrize("pairs_per_slab", [32, 8, 1])
 def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
     # the product buffers and one term buffer are the only slab-sized arrays,
-    # whether the 28 pairs U < V at d = 8 run as 1, 4 or 28 slabs, and however
-    # many workers split their rows
+    # whether the 28 pairs U < V at d = 8 run as 1, 4 or 28 slabs, and on one
+    # worker or two
     sp = random_adapted_change(make_space(4), 3)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
@@ -898,22 +910,22 @@ def test_every_worker_count_gives_the_dense_sups_bit_for_bit(monkeypatch, n):
         dense.append((max_abs(left - e * _dense_sum(rhs)), max_abs(left)))
     monkeypatch.setattr(derivation, "SLAB_BYTES", 5 * 8 * d**4)
     seen = _record_stacks(monkeypatch)
-    # 5 cores make 4 workers at d = 8: five would leave one-row blocks
-    for cores in (1, 2, 3, 5):
+    # every core count forms the same two blocks, on one worker or two
+    for cores in (1, 2, 3, 4):
         _use_cores(monkeypatch, cores)
         for (*rel, triangle), expected in zip(relations, dense):
             seen.clear()
             assert derivation.fused_sups(*rel) == expected, (cores, triangle)
             blocks = {x[3:] for x in seen}
-            assert blocks == set(_sweep_blocks(d, cores, triangle)), (cores, triangle)
+            assert blocks == set(_sweep_blocks(d, triangle)), (cores, triangle)
 
 
 @needs_openblas
 def test_worker_counts_and_the_full_square_agree_across_the_small_matrix_cut(monkeypatch):
-    # d = 16, two pairs a slab: one worker's first-slot matmul over the full
-    # square has M N K = 16^5, above the 1e6 where OpenBLAS switches to its
-    # small-matrix kernel; two workers' and every block of the triangle's
-    # are below it
+    # d = 16, two pairs a slab: a first-slot matmul over the full square in
+    # one block has M N K = 16^5, above the 1e6 where OpenBLAS switches to
+    # its small-matrix kernel; each of the two row blocks and of the two
+    # triangle blocks is below it
     sp = random_adapted_change(make_space(8), 9)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     r = combine(QCHCoefficients(1.3, -0.6, 2.2), sp)
@@ -924,14 +936,16 @@ def test_worker_counts_and_the_full_square_agree_across_the_small_matrix_cut(mon
     # the actors' stacks of pairs U < V, memoised before the gate is forced
     assert all(derivation._checked_operators(a).shape[1] == _upper(16) for a in (pi, phi, psi, r))
 
-    def sups(cores, triangle):
+    def sups(cores, triangle, whole=False):
         _use_cores(monkeypatch, cores)
         with monkeypatch.context() as m:
             if not triangle:  # as for targets that fail the first-pair gate
                 m.setattr(derivation, "_antisymmetric_in_first_pair", lambda t: False)
+            if whole:  # the full square as one block
+                m.setattr(derivation, "_blocks", lambda d, triangle: ((slice(0, d),) * 2,))
             return [derivation.fused_sups(*rel) for rel in relations]
 
-    square = sups(1, False)
+    square = sups(1, False, whole=True)
     # both defects are rounding errors, so a sum rounded otherwise shows
     assert all(0.0 < defect < 1e-15 and guard > 0.1 for defect, guard in square)
     for cores in (1, 2, 3, 4):
@@ -965,7 +979,8 @@ def _draws(space, trials, coeff_range=5.0, seed=4):
 def test_batched_trials_equal_their_lone_sweeps_bit_for_bit(monkeypatch, n, trials):
     # 85 trials a batch (28 a slab) at d = 4 and 6 (2 a slab) at d = 6, so 7
     # and 100 straddle batch and slab boundaries; one trial a batch at d = 8,
-    # and at d = 10 a trial's pair slabs split their rows between two workers
+    # and at d = 10 a trial's pair slabs split their two blocks between two
+    # workers
     _use_cores(monkeypatch, 2)
     space = random_adapted_change(make_space(n), n)
     pi = build_pi(space)
