@@ -437,7 +437,9 @@ def fused_sups(
     if any(c.space.dim != d for pair in pairs for c in pair):
         raise ValueError("curvature dims do not match")
     ops = {a: _checked_operators(a) for a in dict.fromkeys(a for a, _ in pairs)}
-    sups = _sups([ops[a] for a, _ in pairs], [t.tensor.entries[None] for _, t in pairs],
+    # one view a distinct target, so that _sups gates and copies each once
+    views = {t: t.tensor.entries[None] for t in dict.fromkeys(t for _, t in pairs)}
+    sups = _sups([ops[a] for a, _ in pairs], [views[t] for _, t in pairs],
                  len(lhs), coeffs, pool)[:, 0]
     if not np.all(np.isfinite(sups)):
         raise NumericBreakdownError(_BREAKDOWN.format(check))

@@ -151,8 +151,9 @@ def _domain(profile: Profile, t, lo: float, hi: float):
 def _terms(profile: Profile, t):
     """The terms of r and of r'' at ``t``, in summation order."""
     g0, g1, L = profile.gamma0, profile.gamma1, profile.L
-    r_terms = (profile.r0, g0 * L * t**2 / 2.0, (g1 * L - g0) * t**3 / 3.0, -g1 * t**4 / 4.0)
-    rpp_terms = (g0 * L, 2.0 * (g1 * L - g0) * t, -3.0 * g1 * t**2)
+    t2 = t**2
+    r_terms = (profile.r0, g0 * L * t2 / 2.0, (g1 * L - g0) * t**3 / 3.0, -g1 * t**4 / 4.0)
+    rpp_terms = (g0 * L, 2.0 * (g1 * L - g0) * t, -3.0 * g1 * t2)
     return r_terms, rpp_terms
 
 
@@ -193,10 +194,16 @@ def ab2(profile: Profile, t):
     overflows (near 0 it is about -2 s / r0**2, past the float range for
     r0 below about 1e-154)."""
     arr = _domain(profile, t, 0.0, profile.L)
-    r, rpp = (sum(terms) for terms in _terms(profile, arr))
     with np.errstate(over="ignore"):
-        out = -4.0 * rpp / r
+        out = _ab2(profile, arr)
     return _finite("ab2", out)
+
+
+def _ab2(profile: Profile, arr):
+    """-4 r''/r at the float array ``arr`` (0-d for one point), unchecked;
+    the caller ignores overflow and checks the values."""
+    r, rpp = (sum(terms) for terms in _terms(profile, arr))
+    return -4.0 * rpp / r
 
 
 def ab2_alternate(profile: Profile, t, eps: float | None = None):
@@ -219,19 +226,22 @@ def ab2_alternate(profile: Profile, t, eps: float | None = None):
     return _finite("ab2_alternate", out)
 
 
-def _bisect_sign_change(profile: Profile, lo: float, hi: float) -> float:
-    flo = ab2(profile, lo)
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: the spacing near a long L exceeds the tol
-            break
-        fmid = ab2(profile, mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+def _bisect_sign_change(profile: Profile, lo: float, hi: float, flo: float) -> float:
+    """The sign change of ab2 in [lo, hi], where ab2 is ``flo`` at lo.  Each
+    midpoint is :func:`ab2` of a scalar bit for bit: a 0-d array inside
+    [lo, hi], under one overflow guard, each value checked."""
+    with np.errstate(over="ignore"):
+        while hi - lo > _BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent floats: the spacing near a long L exceeds the tol
+                break
+            fmid = _finite("ab2", _ab2(profile, np.asarray(mid)))
+            if fmid == 0.0:
+                return mid
+            if (flo < 0.0) == (fmid < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -294,8 +304,9 @@ def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
     points: list[float] = []
     for c in np.flatnonzero(negative[:-1] != negative[1:]):
         i, j = int(nonzero[c]), int(nonzero[c + 1])
-        if j == i + 1:
-            points.append(_bisect_sign_change(profile, float(grid[i]), float(grid[j])))
+        if j == i + 1:  # the grid's value at i is ab2 of the scalar grid[i] bit for bit
+            points.append(_bisect_sign_change(profile, float(grid[i]), float(grid[j]),
+                                              float(values[i])))
         else:
             points.append(float(grid[i + 1]))
 

@@ -118,3 +118,23 @@ def einsum_j_invariance(R, J):
     """Sup of |R(JX, JY, Z, U) - R(X, Y, Z, U)| over basis vectors, by one
     three-operand einsum (the library's former formula)."""
     return float(np.max(np.abs(np.einsum("ai,bj,abkl->ijkl", J, J, R) - R)))
+
+
+def scalar_bisection(ab2, profile, lo, hi, tol=1e-12):
+    """The sign change of ``ab2`` in [lo, hi] by the plain scalar loop: every
+    point, lo among them, is one call of ``ab2(profile, t)``; a midpoint whose
+    value is zero is returned, and the loop stops at the tolerance or at
+    adjacent floats."""
+    flo = ab2(profile, lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fmid = ab2(profile, mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0.0) == (fmid < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

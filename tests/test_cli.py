@@ -143,14 +143,26 @@ def test_csv_table(tmp_path, capsys):
         assert float(v_str) == ab2(p, float(t_str))
 
 
-def test_profile_report_files_match_the_golden_bytes(tmp_path, capsys):
+def _assert_profile_golden(tmp_path, capsys, argv, golden):
     jpath, cpath = tmp_path / "p.json", tmp_path / "p.csv"
-    assert main(["profile", "report", "--r0", "1", "--L", "3.141592653589793",
-                 "--k", "2", "--n", "4", "--grid", "64", "--no-timestamp",
+    assert main(["profile", "report", *argv, "--no-timestamp",
                  "--json", str(jpath), "--csv", str(cpath)]) == 0
     capsys.readouterr()
-    assert jpath.read_bytes() == (DATA / "profile_report.json").read_bytes()
-    assert cpath.read_bytes() == (DATA / "profile_report.csv").read_bytes()
+    assert jpath.read_bytes() == (DATA / f"{golden}.json").read_bytes()
+    assert cpath.read_bytes() == (DATA / f"{golden}.csv").read_bytes()
+
+
+def test_profile_report_files_match_the_golden_bytes(tmp_path, capsys):
+    _assert_profile_golden(tmp_path, capsys, ["--r0", "1", "--L", "3.141592653589793",
+                                              "--k", "2", "--n", "4", "--grid", "64"],
+                           "profile_report")
+
+
+def test_a_profile_report_at_the_default_grid_matches_the_golden_bytes(tmp_path, capsys):
+    # the benchmark's grid of 1000, with one sign change to bisect
+    _assert_profile_golden(tmp_path, capsys, ["--r0", "0.5", "--L", "19.5", "--k", "3",
+                                              "--n", "2", "--grid", "1000"],
+                           "profile_report_g1000")
 
 
 def test_verify_report_matches_the_golden_bytes(tmp_path, capsys):
@@ -451,10 +463,16 @@ def test_two_outputs_on_one_file_are_a_usage_error_before_any_work(
     assert list(tmp_path.iterdir()) == []
 
 
-_text = st.one_of(st.text(), st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀a')))
+_text = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀a')),
+    # the pieces of a .17g float, which the writer joins without escaping
+    st.lists(st.sampled_from([*"0123456789.e+-", "inf", "nan"]), max_size=6).map("".join),
+)
 _json_trees = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _text),
     lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.lists(_text, min_size=1, max_size=5),
                                st.lists(children, max_size=3).map(tuple),
                                st.dictionaries(_text, children, max_size=5)),
     max_leaves=40,
@@ -465,6 +483,12 @@ _json_trees = st.recursive(
 @given(tree=_json_trees)
 def test_the_report_writer_is_json_dumps_with_indent(tree):
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("leaf", ['"', "\\", "\x7f", "é", "\n", "/", ""])
+def test_a_string_list_that_needs_escaping_is_json_dumps_with_indent(leaf):
+    for obj in (["1.5", f"a{leaf}b", "-0"], [leaf], {"grid": ["inf", leaf, "nan"]}):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("args", [

@@ -17,6 +17,8 @@ from qch import (
     solve_profile,
 )
 
+from helpers import scalar_bisection
+
 PI = math.pi
 
 
@@ -247,14 +249,15 @@ def test_a_bound_not_below_s_is_a_breakdown():
 )
 def test_ab2_is_minus_four_r_second_over_r_bit_for_bit(r0, L, k, n, fractions):
     p = solve_profile(r0, L, k, n)
-    ts = np.minimum(np.array(fractions) * p.L, p.L)
-    s = eval_profile(p, ts)
-    values = ab2(p, ts)
-    assert np.array_equal(values, -4.0 * s.r_second / s.r)
-    for i, t in enumerate(ts.tolist()):
-        one = eval_profile(p, t)
-        assert ab2(p, t) == -4.0 * one.r_second / one.r
-        assert ab2(p, t) == values[i]
+    # random points, and the report's grid, whose values start its bisections
+    for ts in (np.minimum(np.array(fractions) * p.L, p.L), profile_report(p, 1000).grid):
+        s = eval_profile(p, ts)
+        values = ab2(p, ts)
+        assert np.array_equal(values, -4.0 * s.r_second / s.r)
+        for i, t in enumerate(ts.tolist()):
+            one = eval_profile(p, t)
+            assert ab2(p, t) == -4.0 * one.r_second / one.r
+            assert ab2(p, t) == values[i]
 
 
 # -- zero samples and the solver's boundaries ----------------------------------
@@ -352,6 +355,35 @@ def test_any_admissible_input_gives_a_report_or_a_named_error(log_r0, log_L, k, 
     if rep.ab2_values[0] < 0.0 < rep.ab2_values[-1]:
         # an odd number of changes between ends of opposite signs: exactly one
         assert len(points) == 1
+
+
+def _reference_points(monkeypatch, p, grid_size):
+    """The report's sign changes with each bisection the scalar reference loop,
+    which evaluates ab2 at lo itself: the grid's value there must be that one."""
+
+    def reference(profile, lo, hi, flo):
+        assert flo == ab2(profile, lo)
+        return scalar_bisection(ab2, profile, lo, hi)
+
+    with monkeypatch.context() as m:
+        m.setattr(profiles, "_bisect_sign_change", reference)
+        return profile_report(p, grid_size).sign_change_points
+
+
+def test_the_bisection_is_the_scalar_loop_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(18)
+    sample = [solve_profile(float(rng.uniform(0.25, 4.0)), float(rng.uniform(0.5, 20.0)),
+                            int(rng.integers(1, 4)), int(rng.integers(2, 9))) for _ in range(200)]
+    long = solve_profile(246.1193431145346, 145515.3435243633, 3, 4)
+    # a midpoint lands on a zero of ab2, which ends the bisection there
+    zero = solve_profile(0.23495349090607678, 1125.4067697295402, 1, 3)
+    (t,) = profile_report(zero, 1000).sign_change_points
+    assert ab2(zero, t) == 0.0
+    cases = [(p, 1000) for p in (*sample, long, zero)] + [(long, 101)]
+    for p, grid_size in cases:
+        points = profile_report(p, grid_size).sign_change_points
+        assert points, p
+        assert points == _reference_points(monkeypatch, p, grid_size), p
 
 
 def test_bisection_stops_at_adjacent_floats_on_a_long_interval():

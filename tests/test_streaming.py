@@ -842,6 +842,31 @@ def test_the_relation_rows_of_a_stage_share_one_pool(monkeypatch):
         assert len(pools[0]) == 1 and len(pools[0][0]) == {7: 3, 3: 5}[rows]
 
 
+def test_each_distinct_target_of_a_row_is_gated_and_copied_once(monkeypatch):
+    # d = 10 sweeps several slabs on two blocks: the table's rows hold 7
+    # distinct targets in 9 products and eq32's 6 in 8, so 13 gates and 13
+    # head copies a block, not one per product
+    gated, heads = [], {}
+    real_gate, real_slab = derivation._antisymmetric_in_first_pair, derivation._action_slab
+
+    def gate(t):
+        gated.append(t)
+        return real_gate(t)
+
+    def slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
+             head=None):
+        heads[id(head)] = head  # kept alive, so that no id is reused
+        return real_slab(ops, t, rk, lo, hi, out, term, rows, cols, head)
+
+    sp = random_adapted_change(make_space(5), 2)
+    verify_eq32(sp)  # the stage's actors are prepared, and gated, once
+    monkeypatch.setattr(derivation, "_antisymmetric_in_first_pair", gate)
+    monkeypatch.setattr(derivation, "_action_slab", slab)
+    assert all(r.passed for r in verify_multiplication_table(sp) + verify_eq32(sp))
+    assert len(gated) == 13
+    assert len(heads) == 13 * len(derivation._blocks(sp.dim, True))
+
+
 def _peak_rss_mb(argv):
     """Exit code, peak RSS in MB (NaN if the child died before reporting it)
     and stderr of ``qch`` run with ``argv`` in a fresh process.
