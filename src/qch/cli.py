@@ -41,21 +41,11 @@ from .profiles import (
     solve_profile,
 )
 from .spaces import make_space, random_adapted_change, structure_tensors
-from .tensors import UsageError, to_text
+from .tensors import UsageError, _fmt, _fmt_all, to_text
 
 __all__ = ["main", "build_parser"]
 
 SCHEMA_VERSION = "1"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_all(values: list[float]) -> list[str]:
-    """``[_fmt(x) for x in values]`` in one formatting call: ``%.17g`` gives
-    ``format``'s ``.17g`` strings, inf, nan and -0 among them."""
-    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -483,7 +483,12 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
 
 def pseudosymmetry_defect(r: CurvatureTensor, factor: float) -> float:
     """Sup-norm defect of R.R = factor * (Pi.R) on R's own stage; a factor
-    that is not finite is a ``ValueError``, raised before any product."""
+    that is not finite is a ``ValueError``, raised before any product.
+
+    The value is an absolute sup with no guard, so it scales with R: a false
+    factor on a small R can fall below an absolute tolerance.  A caller that
+    needs a verdict takes the guard sup|R.R| from :func:`pseudosymmetry_sups`,
+    or runs :func:`~qch.identities.verify_theorem1`."""
     factor = float(factor)
     if not math.isfinite(factor):
         raise ValueError(f"pseudosymmetry factor must be finite, got {factor!r}")

@@ -27,7 +27,16 @@ __all__ = [
     "parse_records",
 ]
 
-_FLOAT_FMT = ".17g"  # round-trips 64-bit floats exactly
+
+def _fmt(x: float) -> str:
+    """``x`` in 17 significant digits, which round-trip a 64-bit float exactly."""
+    return format(float(x), ".17g")
+
+
+def _fmt_all(values: list[float]) -> list[str]:
+    """``[_fmt(x) for x in values]`` in one formatting call: ``%.17g`` gives
+    ``format``'s ``.17g`` strings, inf, nan and -0 among them."""
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
 class UsageError(ValueError):
@@ -166,8 +175,7 @@ def to_text(t: Tensor, name: str | None = None) -> str:
         lines.append(f"name: {name}")
     lines.append(f"dim: {t.dim}")
     lines.append(f"valence: {t.valence[0]} {t.valence[1]}")
-    flat = " ".join(format(x, _FLOAT_FMT) for x in t.entries.ravel(order="C"))
-    lines.append(f"entries: {flat}")
+    lines.append(f"entries: {' '.join(_fmt_all(t.entries.ravel().tolist()))}")
     return "\n".join(lines) + "\n"
 
 

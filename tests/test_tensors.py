@@ -11,6 +11,7 @@ from qch import (
     max_abs,
     parse_records,
     pullback,
+    random_adapted_change,
     structure_tensors,
     to_text,
 )
@@ -180,6 +181,15 @@ def test_text_round_trip_is_exact():
     named = to_text(t, "sample")
     assert named.startswith("name: sample\n")
     assert np.array_equal(from_text(named).entries, t.entries)
+
+
+def test_text_entries_are_the_per_value_17_digit_strings():
+    # the dump's bytes: signed zero, a subnormal and a huge value among a stage's blocks
+    for block in random_adapted_change(make_space(2), 1).blocks:
+        entries = block.entries.copy()
+        entries.flat[:3] = -0.0, 5e-324, 2.5e300
+        flat = " ".join(format(x, ".17g") for x in entries.ravel())
+        assert to_text(Tensor(4, (0, 4), entries)).splitlines()[-1] == f"entries: {flat}"
 
 
 def test_parse_records_handles_multiple_blocks():
