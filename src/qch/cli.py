@@ -2,8 +2,11 @@
 
 Reports are deterministic: identical flags and seed reproduce byte-identical
 JSON (the timestamp is the only run-dependent field, and ``--no-timestamp``
-drops it).  Every numeric scalar is serialized as a decimal string with 17
-significant digits so values round-trip exactly.  A report file holds
+drops it) on one numpy build and CPU.  Across machines a value can move in
+its last digit: ``verify`` values with the OpenBLAS kernel, and ``profile``
+values with numpy's SIMD ``pow`` (AVX-512 or not).  Every numeric scalar is
+serialized as a decimal string with 17 significant digits so values
+round-trip exactly.  A report file holds
 ``json.dumps(report, indent=2)`` and a newline, byte for byte, and its text is
 built only when ``--json`` is given: a list of plain strings (a profile's grid
 and values) is joined, and other lists of leaves go through the C encoder.
@@ -272,8 +275,8 @@ def _run_profile(args) -> int:
     if args.action == "report":
         passed = passed and len(rep.sign_change_points) >= 1
         # each table value is formatted once, for the JSON and the CSV alike
-        grid_txt = _fmt_all(rep.grid.tolist())
-        ab2_txt = _fmt_all(rep.ab2_values.tolist())
+        grid_txt = _fmt_all(rep.grid)
+        ab2_txt = _fmt_all(rep.ab2_values)
         result["sign_change_points"] = [_fmt(t) for t in rep.sign_change_points]
         result["grid"] = grid_txt
         result["ab2_values"] = ab2_txt

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-12
+_CUBE_QUARTIC = np.array([3.0, 4.0])
 
 
 @dataclass(frozen=True)
@@ -148,20 +149,27 @@ def _domain(profile: Profile, t, lo: float, hi: float):
     return arr
 
 
-def _terms(profile: Profile, t):
-    """The terms of r and of r'' at ``t``, in summation order."""
+def _terms(profile: Profile, t, t2, t3, t4):
+    """The terms of r and of r'' at ``t``, in summation order, from the powers
+    ``t2``, ``t3``, ``t4`` of ``t`` (see :func:`_powers`)."""
     g0, g1, L = profile.gamma0, profile.gamma1, profile.L
-    t2 = t**2
-    r_terms = (profile.r0, g0 * L * t2 / 2.0, (g1 * L - g0) * t**3 / 3.0, -g1 * t**4 / 4.0)
+    r_terms = (profile.r0, g0 * L * t2 / 2.0, (g1 * L - g0) * t3 / 3.0, -g1 * t4 / 4.0)
     rpp_terms = (g0 * L, 2.0 * (g1 * L - g0) * t, -3.0 * g1 * t2)
     return r_terms, rpp_terms
+
+
+def _powers(t):
+    """``t**2``, ``t**3`` and ``t**4``: numpy's ``pow`` for an array ``t``
+    (0-d for a scalar), Python's for a float.  The two differ in the last bit
+    on some inputs."""
+    return t**2, t**3, t**4
 
 
 def eval_profile(profile: Profile, t):
     """Sample (r, r', r'', f, f') at ``t`` (scalar or array) in [0, L]."""
     arr = _domain(profile, t, 0.0, profile.L)
     g0, g1, L, s = profile.gamma0, profile.gamma1, profile.L, profile.s
-    r, rpp = (sum(terms) for terms in _terms(profile, arr))
+    r, rpp = (sum(terms) for terms in _terms(profile, arr, *_powers(arr)))
     rp = arr * (L - arr) * (g0 + g1 * arr)
     f = 2.0 * r * rp / s
     fp = 2.0 * (rp * rp + r * rpp) / s
@@ -170,13 +178,14 @@ def eval_profile(profile: Profile, t):
     return ProfileSample(r, rp, rpp, f, fp)
 
 
-def _finite(name: str, out: np.ndarray):
-    """``out`` as a float or an array; an overflow is a named breakdown."""
-    if out.ndim == 0:  # math.isfinite: np.isfinite costs 7 us on a 0-d array
+def _finite(name: str, out):
+    """``out`` (an array, or a float) as a float or an array; an overflow is
+    a named breakdown."""
+    if isinstance(out, np.ndarray) and out.ndim:
+        finite = np.isfinite(out).all()
+    else:  # math.isfinite: np.isfinite costs 7 us on a 0-d array
         out = float(out)
         finite = math.isfinite(out)
-    else:
-        finite = np.isfinite(out).all()
     if not finite:
         raise NumericBreakdownError(f"numeric breakdown in {name}: an a+b/2 value is not finite")
     return out
@@ -202,7 +211,7 @@ def ab2(profile: Profile, t):
 def _ab2(profile: Profile, arr):
     """-4 r''/r at the float array ``arr`` (0-d for one point), unchecked;
     the caller ignores overflow and checks the values."""
-    r, rpp = (sum(terms) for terms in _terms(profile, arr))
+    r, rpp = (sum(terms) for terms in _terms(profile, arr, *_powers(arr)))
     return -4.0 * rpp / r
 
 
@@ -228,14 +237,19 @@ def ab2_alternate(profile: Profile, t, eps: float | None = None):
 
 def _bisect_sign_change(profile: Profile, lo: float, hi: float, flo: float) -> float:
     """The sign change of ab2 in [lo, hi], where ab2 is ``flo`` at lo.  Each
-    midpoint is :func:`ab2` of a scalar bit for bit: a 0-d array inside
-    [lo, hi], under one overflow guard, each value checked."""
+    midpoint is :func:`ab2` of a scalar bit for bit: t**3 and t**4 from one
+    call of numpy's array ``pow``, t**2 = t*t as numpy squares, and the rest
+    in Python floats in the order of :func:`_terms`, under one overflow
+    guard, each value checked (a zero r as a value that is not finite)."""
     with np.errstate(over="ignore"):
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # adjacent floats: the spacing near a long L exceeds the tol
                 break
-            fmid = _finite("ab2", _ab2(profile, np.asarray(mid)))
+            t3, t4 = np.power(mid, _CUBE_QUARTIC).tolist()
+            (a, b, c, d), (e, f, g) = _terms(profile, mid, mid * mid, t3, t4)
+            r = a + b + c + d  # left to right, as sum() adds the terms
+            fmid = _finite("ab2", -4.0 * (e + f + g) / r if r else math.nan)
             if fmid == 0.0:
                 return mid
             if (flo < 0.0) == (fmid < 0.0):
@@ -252,7 +266,7 @@ def _endpoint_checks(profile: Profile) -> tuple[tuple[float, float], tuple[float
     checks = []
     for t, target in ((0.0, profile.s), (profile.L, -profile.s)):
         x = eval_profile(profile, t)
-        r_abs, rpp_abs = (sum(map(abs, terms)) for terms in _terms(profile, t))
+        r_abs, rpp_abs = (sum(map(abs, terms)) for terms in _terms(profile, t, *_powers(t)))
         scale = 2.0 * (r_abs * abs(x.r_second) + abs(x.r) * rpp_abs)
         checks.append((abs(2.0 * x.r * x.r_second - target), max(1e-12, 16.0 * eps * scale)))
     residuals, bounds = zip(*checks)

@@ -33,10 +33,134 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_all(values: list[float]) -> list[str]:
-    """``[_fmt(x) for x in values]`` in one formatting call: ``%.17g`` gives
-    ``format``'s ``.17g`` strings, inf, nan and -0 among them."""
-    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+def _fmt_all(values) -> list[str]:
+    """``[_fmt(x) for x in values]`` for a float array, byte for byte.
+
+    Each value with 1e-4 <= |x| < 1e17 is laid out by one exact numpy pass
+    (:func:`_fixed_point`) and each exact zero is written as ``0`` or ``-0``
+    in the same pass; the rest (inf, nan, and the values that ``%.17g`` writes
+    with an exponent) go through one ``%.17g`` call.  Batches of ``_BATCH``
+    values bound the temporaries."""
+    x = np.asarray(values, dtype=float).ravel()
+    out: list[str] = []
+    for i in range(0, x.size, _BATCH):
+        out += _fmt_batch(x[i:i + _BATCH])
+    return out
+
+
+# -- exact "%.17g" over an array ---------------------------------------------
+#
+# "%.17g" writes x in fixed point when its decimal exponent X, taken after
+# rounding x to 17 significant digits, lies in [-4, 17).  The digits are then
+# those of the 17-digit integer N = round(|x| * 10**s) with s = 16 - X, with a
+# point after the ones digit ("0.000..." for X < 0), and the fraction's
+# trailing zeros (and a bare point) are stripped.  Each value's text is
+# gathered into a row of 24 bytes, padded with spaces, so that one
+# ``str.split`` of all the rows gives the strings.
+
+_BATCH = 1 << 14
+_WIDTH = 24  # the longest text, "-0.000" and 17 digits, is 23 bytes
+
+
+def _digit_table() -> np.ndarray:
+    """The four ASCII digits of 0..9999, one uint32 each (filled by copies, so
+    that building it at import allocates little), and last ``.-`` and two
+    spaces, the other bytes that a text takes."""
+    table = np.empty((10**4 + 1, 4), np.uint8)
+    digits = table[:-1].reshape(10, 10, 10, 10, 4)
+    for i in range(4):
+        digits[..., i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
+    table[-1] = list(b".-  ")
+    return table.view(np.uint32).ravel()
+
+
+def _layout_table() -> np.ndarray:
+    """For each exponent X in [-4, 16], sign and index k of N's last nonzero
+    digit, the source of each text column in :func:`_fixed_point`'s source
+    row: ``000``, N's digits (3 to 19), ``.`` (20), ``-`` (21), spaces (22)."""
+    table = bytearray()
+    digits = list(range(3, 20))
+    for x in range(-4, 17):
+        if x >= 0:
+            body = digits[:x + 1] + [20] + digits[x + 1:]
+        else:
+            body = [0, 20] + [0] * (-x - 1) + digits
+        for row in (body, [21] + body):
+            for k in range(17):
+                # up to the last nonzero fraction digit, or the ones digit
+                end = row.index(3 + k) + 1 if k > x else row.index(20)
+                table += bytes(row[:end] + [22] * (_WIDTH - end))
+    return np.frombuffer(table, np.uint8).reshape(-1, _WIDTH)
+
+
+_DIGITS = _digit_table()
+_LAYOUT = _layout_table()
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: v = hi + lo exactly, each half of at most 26 bits."""
+    t = v * 134217729.0  # 2**27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _fmt_batch(x: np.ndarray) -> list[str]:
+    a = np.abs(x)
+    neg = np.signbit(x)
+    fast, rows = _fixed_point(a, neg)
+    # every other row reads "0" or "-0": right for a zero, and replaced below
+    # for the rest
+    buf = np.full((x.size, _WIDTH), ord(" "), np.uint8)
+    buf[:, 1] = ord("0")
+    buf[neg, 0] = ord("-")
+    buf[fast] = rows
+    out = str(buf.data, "ascii").split()
+    other = a != 0.0
+    other[fast] = False
+    rest = np.flatnonzero(other).tolist()
+    vals = x[rest].tolist()
+    for i, text in zip(rest, ("%.17g\n" * len(vals) % tuple(vals)).split("\n")):
+        out[i] = text
+    return out
+
+
+def _fixed_point(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of ``a`` (absolute values) that ``%.17g`` writes in fixed
+    point, and their texts as rows of ``_WIDTH`` bytes, signed where ``neg``.
+    A value whose range check fails is left out, for the caller's ``%.17g``
+    call."""
+    cand = np.flatnonzero((a >= 1e-4) & (a < 1e17))
+    v = a[cand]
+    # 1. s = 16 - X from an estimate of X; X <= 16 below 1e17
+    s = 16 - np.minimum(np.floor(np.log10(v)), 16.0).astype(np.intp)
+    # 2. v * 10**s exactly as hi + lo: Dekker's product, with no FMA
+    hi = v * np.take(_POW10, s)
+    vh, vl = _halves(v)
+    ph, pl = np.take(_POW10_HI, s), np.take(_POW10_LO, s)
+    lo = ((vh * ph - hi) + vh * pl + vl * ph) + vl * pl
+    # 3. the estimate is right where hi + lo lies in [1e16, 1e17)
+    ok = (hi >= 1e16) & (hi < 1e17) & ((hi > 1e16) | (lo >= 0.0))
+    fast = cand[ok]
+    # 4. N = round(hi + lo): hi is an even integer here, so rint's
+    # half-to-even rounding is the one of %.17g
+    num = hi[ok].astype(np.int64) + np.rint(lo[ok]).astype(np.int64)
+    # 5. the source row: "000" and N's 17 digits, four to a chunk, then
+    # ".-  " (chunk 10**4)
+    chunks = np.empty((num.size, 6), np.intp)
+    chunks[:, 5] = 10**4
+    for i in range(4, -1, -1):
+        num, chunks[:, i] = np.divmod(num, 10**4)
+    src = np.take(_DIGITS, chunks).view(np.uint8)
+    # the index of N's last nonzero digit; its first is nonzero, as N >= 1e16
+    last = 16 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)
+    # 6. one gather per row lays out the sign, the point and the digits up
+    # to the last nonzero fraction digit
+    cols = np.take(_LAYOUT, ((20 - s[ok]) * 2 + neg[fast]) * 17 + last, axis=0)
+    return fast, np.take(src, cols + np.arange(0, src.size, _WIDTH)[:, None])
 
 
 class UsageError(ValueError):
@@ -175,7 +299,7 @@ def to_text(t: Tensor, name: str | None = None) -> str:
         lines.append(f"name: {name}")
     lines.append(f"dim: {t.dim}")
     lines.append(f"valence: {t.valence[0]} {t.valence[1]}")
-    lines.append(f"entries: {' '.join(_fmt_all(t.entries.ravel().tolist()))}")
+    lines.append(f"entries: {' '.join(_fmt_all(t.entries))}")
     return "\n".join(lines) + "\n"
 
 

@@ -386,6 +386,31 @@ def test_the_bisection_is_the_scalar_loop_bit_for_bit(monkeypatch):
         assert points == _reference_points(monkeypatch, p, grid_size), p
 
 
+def test_every_bisection_midpoint_is_ab2_there_bit_for_bit(monkeypatch):
+    # the bisection evaluates ab2 in Python floats; a last-bit difference
+    # rarely moves a sign change, so each midpoint value is compared itself
+    rng = np.random.default_rng(19)
+    terms, finite = profiles._terms, profiles._finite
+    checked = 0
+    for _ in range(100):
+        p = solve_profile(float(rng.uniform(0.25, 4.0)), float(rng.uniform(0.5, 20.0)),
+                          int(rng.integers(1, 4)), int(rng.integers(2, 9)))
+        grid = np.linspace(0.0, p.L, 1000)
+        values = ab2(p, grid)
+        i = int(np.flatnonzero((values[:-1] < 0.0) & (values[1:] > 0.0))[0])
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(profiles, "_terms", lambda p, t, *powers: seen.append(t) or terms(p, t, *powers))
+            m.setattr(profiles, "_finite",
+                      lambda name, out: seen.append(finite(name, out)) or seen[-1])
+            profiles._bisect_sign_change(p, float(grid[i]), float(grid[i + 1]), float(values[i]))
+        assert len(seen) > 20
+        for t, value in zip(seen[::2], seen[1::2]):
+            assert value == ab2(p, t), (p, t)
+        checked += len(seen) // 2
+    assert checked > 2000
+
+
 def test_bisection_stops_at_adjacent_floats_on_a_long_interval():
     # near L = 1.5e5 neighbouring floats are 2.9e-11 apart, above the 1e-12 tol
     p = solve_profile(246.1193431145346, 145515.3435243633, 3, 4)

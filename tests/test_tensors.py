@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qch import (
     Tensor,
@@ -15,6 +17,8 @@ from qch import (
     structure_tensors,
     to_text,
 )
+
+from qch.tensors import _fmt_all
 
 from helpers import canonical_matrices, loop_pi, loop_psi
 
@@ -190,6 +194,30 @@ def test_text_entries_are_the_per_value_17_digit_strings():
         entries.flat[:3] = -0.0, 5e-324, 2.5e300
         flat = " ".join(format(x, ".17g") for x in entries.ravel())
         assert to_text(Tensor(4, (0, 4), entries)).splitlines()[-1] == f"entries: {flat}"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats())
+def test_the_table_formatter_is_percent_17g_on_any_float(x):
+    # nan, +-inf, +-0 and subnormals among them
+    assert _fmt_all(np.array([x])) == ["%.17g" % x]
+
+
+def test_the_table_formatter_is_percent_17g_on_its_edge_values():
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False).view(np.float64)
+    # the largest double below a power of ten is where a carry would show
+    powers = np.array([float(10**k) for k in range(21)] + [10.0**-k for k in range(1, 9)])
+    near = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    near += [np.array([1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0)])]
+    # short decimals end their fraction at every digit position
+    short = (rng.random(10**4) * 10.0 ** rng.integers(-4, 17, 10**4)).tolist()
+    places = rng.integers(0, 17, 10**4).tolist()
+    near += [np.array([round(v, d) for v, d in zip(short, places)])]
+    values = np.concatenate([bits, *near])
+    values = np.concatenate([values, -values])
+    assert _fmt_all(values) == ["%.17g" % x for x in values.tolist()]
+    assert _fmt_all(np.array([])) == []
 
 
 def test_parse_records_handles_multiple_blocks():
