@@ -335,7 +335,3 @@ def main(argv=None) -> int:
     except MemoryError:  # a run too large for this machine is refused, not a traceback
         print("error: the run does not fit in memory", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -58,7 +58,6 @@ __all__ = [
     "curvature_operators",
     "curv_dot",
     "fused_sups",
-    "pseudosymmetry_defect",
     "pseudosymmetry_sups",
 ]
 
@@ -175,7 +174,7 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
     # second (all its columns); every later slot's is the block itself
     first = t[:, :, cols] if t.ndim > 2 else t
     if head is None:
-        head = first[:, rows]
+        head = first[:, rows] if t.ndim > 1 else first
     shape = (nb, m) + head.shape[1:]
     out, term = (np.empty(shape) if x is None else x.reshape(-1)[:math.prod(shape)].reshape(shape)
                  for x in (out, term))
@@ -427,11 +426,14 @@ def fused_sups(
     products or larger slabs than they hold.
 
     The pair layout, the blocks and the workers are those of the module
-    docstring, and none changes a bit.  Raises :class:`NumericBreakdownError`,
-    naming ``check``, when a reduced value is not finite.
+    docstring, and none changes a bit.  A coefficient that is not finite is a
+    ``ValueError``, raised before any product; a reduced value that is not
+    finite is a :class:`NumericBreakdownError` naming ``check``.
     """
     if not lhs:
         raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
+    if not all(math.isfinite(x) for x in coeffs):
+        raise ValueError(f"relation coefficients must be finite, got {coeffs!r}")
     pairs = [*lhs, *rhs]
     d = pairs[0][1].space.dim
     if any(c.space.dim != d for pair in pairs for c in pair):
@@ -454,13 +456,20 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
     The trials run in batches of ``SLAB_BYTES // (8 P d^4)`` (at least one),
     P pairs a stack: each batch prepares its combinations at once and runs
     one sweep, whose products and sums of each trial are those of
-    ``fused_sups([(r, r)], [(pi, r)], (1.0, f))`` bit for bit.  Each trial is
-    then decided in order: a combination that is not finite is a
-    :class:`~qch.tensors.UsageError`, one that fails the Kahler-type
-    symmetries warns, and a sup that is not finite is a
+    ``fused_sups([(r, r)], [(pi, r)], (1.0, f))`` bit for bit.  ``draws``
+    that is not (T, 3), ``factors`` that is not T values and a factor that is
+    not finite are a ``ValueError`` when the first trial is asked for, before
+    any product.  Each trial is then decided in order: a combination that is
+    not finite is a :class:`~qch.tensors.UsageError`, one that fails the
+    Kahler-type symmetries warns, and a sup that is not finite is a
     :class:`NumericBreakdownError` naming ``check``.  A batch is formed when
     its first trial is asked for, so a caller that stops early forms no more.
     """
+    if draws.ndim != 2 or draws.shape[1] != 3 or np.shape(factors) != draws.shape[:1]:
+        raise ValueError(f"pseudosymmetry_sups needs (T, 3) draws and T factors, "
+                         f"got shapes {draws.shape} and {np.shape(factors)}")
+    if not np.all(np.isfinite(factors)):
+        raise ValueError("pseudosymmetry factors must be finite")
     pi = build_pi(space)
     pi_ops = _checked_operators(pi)
     per = max(1, SLAB_BYTES // (8 * pi_ops.shape[1] * space.dim**4))
@@ -479,18 +488,3 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
             if not (math.isfinite(defect[i]) and math.isfinite(guard[i])):
                 raise NumericBreakdownError(_BREAKDOWN.format(check))
             yield float(defect[i]), float(guard[i])
-
-
-def pseudosymmetry_defect(r: CurvatureTensor, factor: float) -> float:
-    """Sup-norm defect of R.R = factor * (Pi.R) on R's own stage; a factor
-    that is not finite is a ``ValueError``, raised before any product.
-
-    The value is an absolute sup with no guard, so it scales with R: a false
-    factor on a small R can fall below an absolute tolerance.  A caller that
-    needs a verdict takes the guard sup|R.R| from :func:`pseudosymmetry_sups`,
-    or runs :func:`~qch.identities.verify_theorem1`."""
-    factor = float(factor)
-    if not math.isfinite(factor):
-        raise ValueError(f"pseudosymmetry factor must be finite, got {factor!r}")
-    return fused_sups([(r, r)], [(build_pi(r.space), r)], (1.0, factor),
-                      "pseudosymmetry defect")[0]

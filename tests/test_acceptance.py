@@ -24,13 +24,13 @@ from qch import (
     curv_dot,
     eval_profile,
     fit_coefficients,
+    fused_sups,
     hol_sect,
     make_space,
     max_abs,
     product_curvature,
     profile_report,
     project_D,
-    pseudosymmetry_defect,
     random_adapted_change,
     solve_profile,
 )
@@ -158,9 +158,8 @@ def test_pseudosymmetry_with_wrong_factor_control(gate):
         bound = 1e-9 * (1.0 + max_abs(rr))
         worst_rel = max(worst_rel, defect / (1.0 + max_abs(rr)))
         ok = ok and defect <= bound
-    control = pseudosymmetry_defect(
-        combine(QCHCoefficients(0.0, 1.0, 0.0), space), 0.0 + 1.0
-    )
+    wrong = combine(QCHCoefficients(0.0, 1.0, 0.0), space)
+    control, _ = fused_sups([(wrong, wrong)], [(pi, wrong)], (1.0, 0.0 + 1.0))
     elapsed = time.perf_counter() - started
     gate(
         "05 pseudosymmetry",

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from qch import (
 from qch.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_verify_exit_codes(capsys):
@@ -222,14 +224,24 @@ def test_dump_round_trips_the_stage(tmp_path, capsys):
     assert np.array_equal(records["pi"].entries, build_pi(space).tensor.entries)
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qch", "verify", "table", "--n", "2"],
-        capture_output=True,
-        text=True,
-    )
+def test_module_entry_point(tmp_path):
+    # `python -m qch` exits with main's status: 0 on a pass, 2 on a usage
+    # error, 1 on a numeric breakdown
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "qch", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+    report = tmp_path / "r.json"
+    proc = run("verify", "table", "--n", "2", "--json", str(report))
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
+    assert json.loads(report.read_text())["overall_pass"] is True
+    proc = run("verify", "table", "--n", "2", "--tol", "nan")
+    assert proc.returncode == 2
+    assert "usage error: tol must be finite and positive" in proc.stderr
+    proc = run("profile", "solve", "--r0", "1e300", "--L", "1e10", "--k", "1", "--n", "2")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: numeric breakdown")
 
 
 @pytest.mark.parametrize("coeff_range", ["inf", "nan", "0"])

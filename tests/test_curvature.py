@@ -17,11 +17,11 @@ from qch import (
     combine,
     curvature_operators,
     fit_coefficients,
+    fused_sups,
     hol_sect,
     make_space,
     max_abs,
     product_curvature,
-    pseudosymmetry_defect,
     project_D,
     pullback,
     random_adapted_change,
@@ -128,7 +128,7 @@ def test_one_stage_builds_its_blocks_once(monkeypatch):
     verify_eq32(sp)
     verify_theorem1(sp, trials=2)
     fit_coefficients(r)
-    pseudosymmetry_defect(r, 0.0)
+    fused_sups([(r, r)], [(build_pi(sp), r)], (1.0, 0.0))
     assert builds == [sp]
     assert len(forms) == 4  # Pi, Psi, and the two halves of Phi
     assert tuple(b(sp).tensor for b in (build_pi, build_phi, build_psi)) == sp.blocks

@@ -15,8 +15,9 @@ from qch import (
     curvature_operators,
     endo_derive,
     make_space,
+    fused_sups,
     max_abs,
-    pseudosymmetry_defect,
+    pseudosymmetry_sups,
     random_adapted_change,
     structure_tensors,
 )
@@ -43,6 +44,17 @@ def test_derive_endomorphism_is_the_commutator():
     am, tm = rng.standard_normal((2, 4, 4))
     out = endo_derive(Tensor(4, (1, 1), am), Tensor(4, (1, 1), tm))
     assert np.allclose(out.entries, am @ tm - tm @ am)
+
+
+def test_derivations_vanish_on_scalars():
+    d = 4
+    out = endo_derive(Tensor(d, (1, 1), np.random.default_rng(5).standard_normal((d, d))),
+                      Tensor(d, (0, 0), 3.0))
+    assert out.valence == (0, 0) and out.entries.shape == () and out.entries == 0.0
+    r = combine(QCHCoefficients(0.3, 1.2, -0.7), make_space(2))
+    acted = curv_dot(r, Tensor(d, (0, 0), 3.0))
+    assert acted.valence == (0, 2) and acted.entries.shape == (d, d)
+    assert not acted.entries.any()
 
 
 def test_skew_endomorphisms_kill_the_metric():
@@ -213,15 +225,16 @@ def test_defect_vanishes_at_the_predicted_factor():
     sp = random_adapted_change(make_space(3), 41)
     a, b, c = 1.2, -0.8, 0.5
     r = combine(QCHCoefficients(a, b, c), sp)
-    assert pseudosymmetry_defect(r, a + b / 2.0) < 1e-12
+    assert fused_sups([(r, r)], [(build_pi(sp), r)], (1.0, a + b / 2.0))[0] < 1e-12
 
 
 def test_defect_is_large_at_the_wrong_factor():
     sp = make_space(2)
     r = combine(QCHCoefficients(0.0, 1.0, 0.0), sp)
     # a + b = 1 is the natural wrong guess; the true factor is a + b/2 = 1/2
-    assert pseudosymmetry_defect(r, 1.0) > 1e-3
-    assert pseudosymmetry_defect(r, 0.5) < 1e-13
+    pi = build_pi(sp)
+    assert fused_sups([(r, r)], [(pi, r)], (1.0, 1.0))[0] > 1e-3
+    assert fused_sups([(r, r)], [(pi, r)], (1.0, 0.5))[0] < 1e-13
 
 
 @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
@@ -229,7 +242,19 @@ def test_a_non_finite_factor_is_rejected_before_any_product(factor, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("a product was formed")
 
-    monkeypatch.setattr(derivation, "fused_sups", refuse)
-    r = combine(QCHCoefficients(0.0, 1.0, 0.0), make_space(2))
-    with pytest.raises(ValueError, match="factor must be finite"):
-        pseudosymmetry_defect(r, factor)
+    monkeypatch.setattr(derivation, "_sups", refuse)
+    sp = make_space(2)
+    r, pi = combine(QCHCoefficients(0.0, 1.0, 0.0), sp), build_pi(sp)
+    for coeffs in ((factor, 1.0), (1.0, factor)):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            fused_sups([(r, r)], [(pi, r)], coeffs)
+    draws = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="factors must be finite"):
+        next(pseudosymmetry_sups(sp, draws, np.array([0.5, 1.0, factor]), "theorem1"))
+    # a shape mismatch is refused first: too few factors, one factor (not
+    # broadcast over the draws), a column of factors, draws that are not (T, 3)
+    for rows, factors in ((draws, np.full(2, factor)), (draws, np.float64(factor)),
+                          (draws, np.full((3, 1), factor)), (draws[:, :2], np.full(3, factor)),
+                          (draws[0], np.full(1, factor))):
+        with pytest.raises(ValueError, match=r"needs \(T, 3\) draws and T factors"):
+            next(pseudosymmetry_sups(sp, rows, factors, "theorem1"))

@@ -13,9 +13,9 @@ from qch import (
     build_psi,
     combine,
     curv_dot,
+    fused_sups,
     make_space,
     max_abs,
-    pseudosymmetry_defect,
     random_adapted_change,
     run_suite,
     verify_eq32,
@@ -292,16 +292,20 @@ def test_run_suite_reports_honest_failures_under_noise(noisy_phi):
 
 def test_defect_scales_quadratically_with_the_curvature():
     # scaling R by s scales R.R by s^2 and the comparison term by s * (s f),
-    # so a wrong-factor defect obeys defect(s R, s f) = s^2 defect(R, f)
+    # so a wrong-factor defect obeys defect(s R, s f) = s^2 defect(R, f); the
+    # guard sup|R.R| scales by s^2 too, so only defect / guard is scale-free
     sp = make_space(2)
+    pi = build_pi(sp)
     r = combine(QCHCoefficients(1.0, 1.0, -0.5), sp)
     wrong = 7.0  # anything but a + b/2 = 1.5
-    base = pseudosymmetry_defect(r, wrong)
+
+    def sups(s):
+        return fused_sups([(s * r, s * r)], [(pi, s * r)], (1.0, s * wrong))
+
+    base, base_guard = sups(1.0)
     assert base > 1e-2
-    assert pseudosymmetry_defect(2.0 * r, 2.0 * wrong) == 4.0 * base  # exact: powers of two
-    assert pseudosymmetry_defect(10.0 * r, 10.0 * wrong) == pytest.approx(
-        100.0 * base, rel=1e-12
-    )
+    assert sups(2.0) == (4.0 * base, 4.0 * base_guard)  # exact: powers of two
+    assert sups(10.0) == pytest.approx((100.0 * base, 100.0 * base_guard), rel=1e-12)
 
 
 def test_sign_flip_of_the_fourth_block_is_invisible_to_every_check():
@@ -317,4 +321,5 @@ def test_sign_flip_of_the_fourth_block_is_invisible_to_every_check():
         + (-0.75) * build_psi(sp)
     )
     assert np.allclose(flipped.tensor.entries, direct.tensor.entries)
-    assert pseudosymmetry_defect(flipped, 1.0 - 2.0 / 2.0) < 1e-13
+    assert fused_sups([(flipped, flipped)], [(build_pi(sp), flipped)], (1.0, 1.0 - 2.0 / 2.0)
+                      )[0] < 1e-13

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -43,7 +44,6 @@ from qch import (
     make_space,
     max_abs,
     product_curvature,
-    pseudosymmetry_defect,
     random_adapted_change,
     run_suite,
     verify_eq32,
@@ -554,6 +554,60 @@ def test_a_breakdown_in_one_worker_reaches_the_caller_with_the_check_name(monkey
     assert threading.active_count() == threads
 
 
+@needs_openblas
+@pytest.mark.parametrize("failing", [1, 0])
+def test_an_exception_in_one_worker_reaches_the_caller_and_stops_the_other(monkeypatch, failing):
+    # the failing worker raises once the other is inside its first slab, and
+    # the other waits until that failure is recorded (worker 1's thread has
+    # ended, or worker 0 on the calling thread has set the stop event), so it
+    # forms only the slab it is in: two products at pairs 0:4 of 7 slabs
+    sp = random_adapted_change(make_space(4), 3)
+    pi = build_pi(sp)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
+    stops, threads, waited, formed = [], [], [], []
+    entered = threading.Event()
+
+    def event():
+        stops.append(threading.Event())
+        return stops[-1]
+
+    def thread(**kwargs):
+        threads.append(threading.Thread(**kwargs))
+        return threads[-1]
+
+    monkeypatch.setattr(derivation, "threading", types.SimpleNamespace(Event=event, Thread=thread))
+    real = derivation._action_slab
+    error = RuntimeError("a worker failed")
+
+    def faulty(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
+               head=None):
+        if (rows.start > 0) == failing:  # worker 1 forms the block of rows [r, d)
+            entered.wait(timeout=60)
+            raise error
+        if not formed:
+            entered.set()
+            if failing:
+                threads[0].join(timeout=60)
+                waited.append(not threads[0].is_alive())
+            else:
+                waited.append(stops[0].wait(timeout=60))
+        formed.append((lo, hi))
+        return real(ops, t, rk, lo, hi, out, term, rows, cols, head)
+
+    monkeypatch.setattr(derivation, "_action_slab", faulty)
+    before, alive = _blas_threads(), threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))
+    assert raised.value is error
+    assert waited == [True]
+    assert formed == [(0, 4), (0, 4)]
+    assert _blas_threads() == before
+    assert len(threads) == 1 and not threads[0].is_alive()
+    assert threading.active_count() == alive
+
+
 def test_an_empty_right_side_gives_the_left_sup_twice(monkeypatch):
     sp = random_adapted_change(make_space(3), 2)
     r = combine(QCHCoefficients(1.5, 0.4, -0.9), sp)
@@ -606,13 +660,14 @@ def test_a_relation_needs_a_left_side_on_one_stage():
         derivation.fused_sups([(pi, pi)], [(build_pi(make_space(3)), pi)])
 
 
-def test_pseudosymmetry_defect_equals_the_dense_value(monkeypatch):
+def test_the_pseudosymmetry_relation_sups_equal_the_dense_values(monkeypatch):
     sp = random_adapted_change(make_space(3), 8)
-    r = combine(QCHCoefficients(0.4, 1.1, -2.0), sp)
-    dense = max_abs(curv_dot(r, r) - 3.0 * curv_dot(build_pi(sp), r))
-    assert pseudosymmetry_defect(r, 3.0) == dense
+    r, pi = combine(QCHCoefficients(0.4, 1.1, -2.0), sp), build_pi(sp)
+    rr = curv_dot(r, r)
+    dense = (max_abs(rr - 3.0 * curv_dot(pi, r)), max_abs(rr))
+    assert derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 3.0)) == dense
     monkeypatch.setattr(derivation, "SLAB_BYTES", 8 * 6**4)
-    assert pseudosymmetry_defect(r, 3.0) == dense
+    assert derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 3.0)) == dense
 
 
 def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatch):
@@ -695,7 +750,7 @@ def test_a_perturbed_slab_fails_every_derivation_check(monkeypatch):
     assert failed == DERIVATION_CHECKS
     assert passed == {"product:matches_combination", "product:holomorphic_diagonal"}
     r = combine(QCHCoefficients(1.2, -0.8, 0.5), make_space(2))
-    assert pseudosymmetry_defect(r, 1.2 - 0.4) > 1e-4
+    assert derivation.fused_sups([(r, r)], [(build_pi(r.space), r)], (1.0, 1.2 - 0.4))[0] > 1e-4
 
 
 # -- tolerance and breakdown rules ---------------------------------------------
@@ -756,7 +811,8 @@ def test_huge_curvature_breaks_down_in_every_fused_caller():
     sp = make_space(2)
     huge = 1e200 * build_pi(sp)
     with pytest.raises(NumericBreakdownError, match="pseudosymmetry defect"):
-        pseudosymmetry_defect(huge, 1.0)
+        derivation.fused_sups([(huge, huge)], [(build_pi(sp), huge)], (1.0, 1.0),
+                              "pseudosymmetry defect")
     with pytest.raises(NumericBreakdownError, match="product:semisymmetric_opposite_plane"):
         verify_product_route(sp, 1e200, 1.0)
 
