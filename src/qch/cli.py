@@ -11,13 +11,16 @@ round-trip exactly.  A report file holds
 built only when ``--json`` is given: a list of plain strings (a profile's grid
 and values) is joined, and other lists of leaves go through the C encoder.
 Every ``verify`` suite runs through :func:`~qch.identities.run_suite`, which
-validates ``--tol``, ``--trials`` and ``--coeff-range`` for every suite.  Exit status: 0 when every check passes, 1
-on a failed check or a numeric breakdown (including a profile boundary bound
-that is not below s), 2 on usage errors, among them a ``--json``, ``--csv``
-or ``--dump`` path that is empty, a directory, in no existing directory or
-the same file as another of them, a ``--csv`` for ``profile solve``, and an
-``--eps`` that leaves no report grid point (all checked before any work), and
-2 when the run does not fit in memory (no report file is written).
+validates ``--tol``, ``--trials`` and ``--coeff-range`` for every suite.  Each
+command's runner prints its lines and returns its report's parts and verdict;
+:func:`main` alone writes the report and sets the exit status: 0 when every
+check passes, 1 on a failed check or a numeric breakdown (including a profile
+boundary bound that is not below s), 2 on usage errors, among them a
+``--json``, ``--csv`` or ``--dump`` path that is empty, a directory, in no
+existing directory or the same file as another of them, a ``--csv`` for
+``profile solve``, and an ``--eps`` that leaves no report grid point (all
+checked before any work), and 2 when the run does not fit in memory (no
+report file is written).
 """
 
 from __future__ import annotations
@@ -32,10 +35,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .derivation import NumericBreakdownError
 from .identities import SUITES, CheckResult, run_suite
 from .profiles import (
-    Profile,
     _endpoint_checks,
     _require_bounds_below_s,
     ab2_alternate,
@@ -44,7 +45,7 @@ from .profiles import (
     solve_profile,
 )
 from .spaces import make_space, random_adapted_change, structure_tensors
-from .tensors import UsageError, _fmt, _fmt_all, to_text
+from .tensors import NumericBreakdownError, UsageError, _fmt, _fmt_all, to_text
 
 __all__ = ["main", "build_parser"]
 
@@ -164,12 +165,22 @@ def _json_text(obj, indent: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _emit_report(report: dict, json_path: str | None, no_timestamp: bool) -> None:
-    if not json_path:
+def _emit_report(args, command: str, parameters: dict, results: list, passed: bool,
+                 seed: str) -> None:
+    """Write the report of one command to ``--json``, if given."""
+    if not args.json_path:
         return
-    if not no_timestamp:
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "parameters": parameters,
+        "results": results,
+        "overall_pass": passed,
+        "seed": seed,
+    }
+    if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    with open(json_path, "w") as fh:
+    with open(args.json_path, "w") as fh:
         fh.write(_json_text(report) + "\n")
 
 
@@ -189,7 +200,9 @@ def _dump_tensors(path: str, n: int, seed: int) -> None:
         fh.write("\n".join(to_text(t, name) for name, t in records))
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple:
+    """Run one suite and print it; return the report's command, parameters,
+    results, verdict and seed."""
     results = run_suite([args.n], [args.seed], tol=args.tol, trials=args.trials,
                         coeff_range=args.coeff_range, suite=args.suite)
 
@@ -203,34 +216,14 @@ def _run_verify(args) -> int:
               f"defect={r.max_defect:.3e} tol={r.tolerance:.3e}")
     print(f"{'ok' if overall else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks passed")
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": f"verify {args.suite}",
-        "parameters": {
-            "n": str(args.n),
-            "seed": str(args.seed),
-            "trials": str(args.trials),
-            "coeff_range": _fmt(args.coeff_range),
-            "tol": _fmt(args.tol),
-        },
-        "results": [_check_dict(r) for r in results],
-        "overall_pass": overall,
+    parameters = {
+        "n": str(args.n),
         "seed": str(args.seed),
+        "trials": str(args.trials),
+        "coeff_range": _fmt(args.coeff_range),
+        "tol": _fmt(args.tol),
     }
-    _emit_report(report, args.json_path, args.no_timestamp)
-    return 0 if overall else 1
-
-
-def _profile_core_dict(p: Profile, residuals: tuple[float, float]) -> dict:
-    end = eval_profile(p, p.L)
-    return {
-        "s": _fmt(p.s),
-        "gamma0": _fmt(p.gamma0),
-        "gamma1": _fmt(p.gamma1),
-        "r_end": _fmt(end.r),
-        "boundary_residual_left": _fmt(residuals[0]),
-        "boundary_residual_right": _fmt(residuals[1]),
-    }
+    return f"verify {args.suite}", parameters, [_check_dict(r) for r in results], overall, str(args.seed)
 
 
 def _grid_meets_margin(L: float, grid: int, eps: float) -> bool:
@@ -249,7 +242,9 @@ def _grid_meets_margin(L: float, grid: int, eps: float) -> bool:
     return i < grid and point(i) <= L - eps
 
 
-def _run_profile(args) -> int:
+def _run_profile(args) -> tuple:
+    """Solve one profile (and tabulate it for ``report``) and print it; return
+    what :func:`_run_verify` returns."""
     if args.grid < 3:
         raise UsageError("--grid must be at least 3")
     if args.eps is not None and not (math.isfinite(args.eps) and 0 < args.eps < args.L / 2):
@@ -269,7 +264,14 @@ def _run_profile(args) -> int:
     else:
         residuals, bounds = _endpoint_checks(p)
     passed = all(r <= b for r, b in zip(residuals, bounds))
-    result = _profile_core_dict(p, residuals)
+    result = {
+        "s": _fmt(p.s),
+        "gamma0": _fmt(p.gamma0),
+        "gamma1": _fmt(p.gamma1),
+        "r_end": _fmt(eval_profile(p, p.L).r),
+        "boundary_residual_left": _fmt(residuals[0]),
+        "boundary_residual_right": _fmt(residuals[1]),
+    }
     print(f"boundary residuals: left={residuals[0]:.3e} right={residuals[1]:.3e}")
 
     if args.action == "report":
@@ -296,23 +298,15 @@ def _run_profile(args) -> int:
             with open(args.csv_path, "w") as fh:
                 fh.write("t,ab2\n" + "\n".join(map(",".join, zip(grid_txt, ab2_txt))) + "\n")
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": f"profile {args.action}",
-        "parameters": {
-            "r0": _fmt(args.r0),
-            "L": _fmt(args.L),
-            "k": str(args.k),
-            "n": str(args.n),
-            "grid": str(args.grid),
-            "eps": _fmt(eps),
-        },
-        "results": [result],
-        "overall_pass": passed,
-        "seed": "0",
+    parameters = {
+        "r0": _fmt(args.r0),
+        "L": _fmt(args.L),
+        "k": str(args.k),
+        "n": str(args.n),
+        "grid": str(args.grid),
+        "eps": _fmt(eps),
     }
-    _emit_report(report, args.json_path, args.no_timestamp)
-    return 0 if passed else 1
+    return f"profile {args.action}", parameters, [result], passed, "0"
 
 
 def main(argv=None) -> int:
@@ -323,9 +317,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_output_paths(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        return _run_profile(args)
+        run = _run_verify if args.command == "verify" else _run_profile
+        command, parameters, results, passed, seed = run(args)
+        _emit_report(args, command, parameters, results, passed, seed)
+        return 0 if passed else 1
     except NumericBreakdownError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

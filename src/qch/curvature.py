@@ -137,7 +137,8 @@ def build_psi(space: HermitianSpace) -> CurvatureTensor:
 
 def combine(coeffs: QCHCoefficients, space: HermitianSpace) -> CurvatureTensor:
     """a*Pi + b*Phi + c*Psi on the given stage."""
-    arr = _combination(space, coeffs.a, coeffs.b, coeffs.c)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum not finite: Tensor refuses it
+        arr = _combination(space, coeffs.a, coeffs.b, coeffs.c)
     return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
 
 

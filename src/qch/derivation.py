@@ -49,11 +49,10 @@ import numpy as np
 
 from .curvature import CurvatureTensor, _combination, _kahler_verdict, _symmetry_defects, build_pi
 from .spaces import HermitianSpace
-from .tensors import Tensor, UsageError
+from .tensors import NumericBreakdownError, Tensor, UsageError
 
 __all__ = [
     "KahlerSymmetryWarning",
-    "NumericBreakdownError",
     "endo_derive",
     "curvature_operators",
     "curv_dot",
@@ -70,10 +69,6 @@ SLAB_BYTES = 2**20
 
 class KahlerSymmetryWarning(UserWarning):
     """Curvature input strays from the Kahler-type symmetries."""
-
-
-class NumericBreakdownError(ArithmeticError):
-    """A derivation product overflowed: a reduced value is not finite."""
 
 
 _BREAKDOWN = "numeric breakdown in {}: a derivation product is not finite"
@@ -438,7 +433,9 @@ def fused_sups(
     d = pairs[0][1].space.dim
     if any(c.space.dim != d for pair in pairs for c in pair):
         raise ValueError("curvature dims do not match")
-    ops = {a: _checked_operators(a) for a in dict.fromkeys(a for a, _ in pairs)}
+    ops = {}  # a loop: before Python 3.12 a comprehension is a frame of its own,
+    for a in dict.fromkeys(a for a, _ in pairs):  # which the warning would name
+        ops[a] = _checked_operators(a)
     # one view a distinct target, so that _sups gates and copies each once
     views = {t: t.tensor.entries[None] for t in dict.fromkeys(t for _, t in pairs)}
     sups = _sups([ops[a] for a, _ in pairs], [views[t] for _, t in pairs],
@@ -465,9 +462,10 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
     :class:`NumericBreakdownError` naming ``check``.  A batch is formed when
     its first trial is asked for, so a caller that stops early forms no more.
     """
-    if draws.ndim != 2 or draws.shape[1] != 3 or np.shape(factors) != draws.shape[:1]:
+    draws, factors = np.asarray(draws, dtype=float), np.asarray(factors, dtype=float)
+    if draws.ndim != 2 or draws.shape[1] != 3 or factors.shape != draws.shape[:1]:
         raise ValueError(f"pseudosymmetry_sups needs (T, 3) draws and T factors, "
-                         f"got shapes {draws.shape} and {np.shape(factors)}")
+                         f"got shapes {draws.shape} and {factors.shape}")
     if not np.all(np.isfinite(factors)):
         raise ValueError("pseudosymmetry factors must be finite")
     pi = build_pi(space)
@@ -484,7 +482,7 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
             if not math.isfinite(size[i]):
                 raise UsageError(f"coefficients {tuple(row)} give a curvature that is not finite")
             if texts[i] is not None:
-                warnings.warn(texts[i], KahlerSymmetryWarning, stacklevel=3)
+                warnings.warn(texts[i], KahlerSymmetryWarning, stacklevel=2)  # the loop's line
             if not (math.isfinite(defect[i]) and math.isfinite(guard[i])):
                 raise NumericBreakdownError(_BREAKDOWN.format(check))
             yield float(defect[i]), float(guard[i])

@@ -8,7 +8,7 @@ against vacuous passes by requiring the left side to be comfortably nonzero
 first: a guard at most ``10 * tol`` reports an infinite defect, which fails
 at any tolerance.  Every derivation check is a linear relation among
 products, reduced on the fly by :func:`~qch.derivation.fused_sups`; a
-product that overflows raises :class:`~qch.derivation.NumericBreakdownError`
+product that overflows raises :class:`~qch.tensors.NumericBreakdownError`
 rather than giving a verdict.  The base tolerance must be finite and
 positive.  All randomness is seeded PCG64, so identical inputs and seeds
 reproduce identical results.

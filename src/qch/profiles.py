@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .derivation import NumericBreakdownError
-from .tensors import UsageError, _checked_int
+from .tensors import NumericBreakdownError, UsageError, _checked_int
 
 __all__ = [
     "Profile",
@@ -80,7 +79,7 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
     where r' > 0 on (0, L), and the other lies below -2, where it is not.
     The near root is taken, polished by Newton steps, and clamped to the line
     g0 + g1 L = 0 where rounding puts it past.  Raises ``UsageError`` on bad
-    parameters and :class:`~qch.derivation.NumericBreakdownError` where the
+    parameters and :class:`~qch.tensors.NumericBreakdownError` where the
     quadratic leaves the float range: 2 r0 L or a coefficient or the root
     overflows (so g0 would be 0, or g1 not finite), q2 underflows to zero, or
     the discriminant is NaN or -inf (with r0 = 1: L below about 1e-53 or
@@ -199,7 +198,7 @@ def ab2(profile: Profile, t):
     stay on numpy arrays (0-d for a scalar ``t``): numpy's ``pow`` and Python's
     float ``**`` differ in the last bit on some inputs.
 
-    Raises :class:`~qch.derivation.NumericBreakdownError` when a value
+    Raises :class:`~qch.tensors.NumericBreakdownError` when a value
     overflows (near 0 it is about -2 s / r0**2, past the float range for
     r0 below about 1e-154)."""
     arr = _domain(profile, t, 0.0, profile.L)
@@ -220,7 +219,7 @@ def ab2_alternate(profile: Profile, t, eps: float | None = None):
 
     Valid only away from the endpoints, where f vanishes; ``eps`` is the
     exclusion margin (default L * 1e-3) and out-of-margin input raises.
-    Raises :class:`~qch.derivation.NumericBreakdownError` when a value
+    Raises :class:`~qch.tensors.NumericBreakdownError` when a value
     overflows (for tiny r0).
     """
     if eps is None:
@@ -288,7 +287,7 @@ def boundary_residuals(profile: Profile) -> tuple[tuple[float, float], tuple[flo
     the condition rounds in proportion to ``scale``, the sum of the absolute
     terms of ``2 r r''`` there (about 1e4 when r(L) is about 100).
 
-    Raises :class:`~qch.derivation.NumericBreakdownError` when a bound is not
+    Raises :class:`~qch.tensors.NumericBreakdownError` when a bound is not
     below s: the terms then cancel so far that a residual of s, an endpoint
     condition that fails outright, would pass (r0 = 1e-9, L = 1 gives 1184)."""
     residuals, bounds = _endpoint_checks(profile)
@@ -302,7 +301,7 @@ def profile_report(profile: Profile, grid_size: int = 1000) -> ProfileReport:
     gives them (the breakdown for a bound not below s is left to the caller).
 
     A zero sample is a sign change only between nonzero samples of opposite
-    signs.  Raises :class:`~qch.derivation.NumericBreakdownError` when every
+    signs.  Raises :class:`~qch.tensors.NumericBreakdownError` when every
     sample is zero (ab2 underflows for huge r0) or one overflows (tiny r0)."""
     grid = np.linspace(0.0, profile.L, _checked_int(grid_size, 3, "grid_size"))
     values = ab2(profile, grid)

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "UsageError",
+    "NumericBreakdownError",
     "Tensor",
     "frobenius_inner",
     "max_abs",
@@ -166,6 +167,11 @@ def _fixed_point(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray
 class UsageError(ValueError):
     """An argument outside the domain the program handles; the command line
     reports it as a usage error, with exit status 2."""
+
+
+class NumericBreakdownError(ArithmeticError):
+    """A computed value is not finite: a derivation product or a profile
+    quantity overflowed.  The command line reports it with exit status 1."""
 
 
 @dataclass(frozen=True, eq=False)

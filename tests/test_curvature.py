@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -78,6 +79,12 @@ def test_coefficients_must_be_finite():
         QCHCoefficients(1.0, np.inf, 0.0)
     with pytest.raises(ValueError):
         QCHCoefficients(np.nan, 0.0, 0.0)
+    # finite coefficients whose sum leaves the float range are Tensor's
+    # ValueError, not numpy's overflow warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tensor entries must be finite"):
+            combine(QCHCoefficients(1e308, 1e308, 0.0), make_space(2))
 
 
 def test_curvature_tensor_validates_valence_only():
@@ -255,6 +262,8 @@ def test_diagonal_rejects_non_unit_vectors():
         hol_sect(r, np.zeros(4))
     with pytest.raises(ValueError):
         hol_sect(r, np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="does not match dim 4"):
+        hol_sect(r, np.array([1.0, 0.0, 0.0]))
     # a NaN length fails every comparison, so the unit check must fail on it
     for bad in (np.nan, np.inf, 1e200):
         with pytest.raises(ValueError, match="unit vector"):

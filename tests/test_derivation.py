@@ -82,6 +82,8 @@ def test_derive_rejects_mismatched_input():
         endo_derive(Tensor.zeros(4, (0, 2)), Tensor.zeros(4, (0, 2)))
     with pytest.raises(ValueError):
         endo_derive(Tensor.zeros(3, (1, 1)), Tensor.zeros(4, (0, 2)))
+    with pytest.raises(ValueError, match="does not match curvature dim"):
+        curv_dot(build_pi(make_space(2)), Tensor.zeros(6, (0, 2)))
 
 
 # -- curvature operators ------------------------------------------------------
@@ -213,8 +215,9 @@ def test_action_warns_on_asymmetric_curvature_but_proceeds():
     arr = np.array(build_pi(sp).tensor.entries)
     arr[0, 0, 0, 0] += 1.0  # clearly breaks the exchange rules
     lopsided = CurvatureTensor(Tensor(4, (0, 4), arr), sp)
-    with pytest.warns(KahlerSymmetryWarning):
+    with pytest.warns(KahlerSymmetryWarning) as record:
         out = curv_dot(lopsided, sp.g)
+    assert record[0].filename == __file__
     assert out.entries.shape == (4,) * 4
 
 
@@ -258,3 +261,11 @@ def test_a_non_finite_factor_is_rejected_before_any_product(factor, monkeypatch)
                           (draws[0], np.full(1, factor))):
         with pytest.raises(ValueError, match=r"needs \(T, 3\) draws and T factors"):
             next(pseudosymmetry_sups(sp, rows, factors, "theorem1"))
+    # draws are taken as an array: a ragged list is refused, and a list gives
+    # the array's sups
+    with pytest.raises(ValueError):
+        next(pseudosymmetry_sups(sp, [[1.0, 0.0, 0.0], [1.0]], np.ones(2), "theorem1"))
+    monkeypatch.undo()
+    ones = np.ones(3)
+    assert (list(pseudosymmetry_sups(sp, draws.tolist(), ones, "theorem1"))
+            == list(pseudosymmetry_sups(sp, draws, ones, "theorem1")))

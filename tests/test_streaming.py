@@ -724,8 +724,9 @@ def test_a_failing_curvature_warns_on_every_use(monkeypatch):
     lopsided = CurvatureTensor(Tensor(4, (0, 4), arr), sp)
     checks = _count_checks(monkeypatch)
     for _ in range(3):
-        with pytest.warns(KahlerSymmetryWarning):
+        with pytest.warns(KahlerSymmetryWarning) as record:
             derivation.fused_sups([(lopsided, lopsided)])
+        assert record[0].filename == __file__  # the caller's line, not the library's
     assert [id(arr.base) for arr in checks] == [id(lopsided.tensor.entries)]
 
 
@@ -1141,5 +1142,6 @@ def test_a_batch_trial_that_fails_the_symmetries_warns(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         next(sups)
-    with pytest.warns(KahlerSymmetryWarning):
+    with pytest.warns(KahlerSymmetryWarning) as record:
         next(sups)
+    assert record[0].filename == __file__
