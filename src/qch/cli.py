@@ -19,8 +19,9 @@ boundary bound that is not below s), 2 on usage errors, among them a
 ``--json``, ``--csv`` or ``--dump`` path that is empty, a directory, in no
 existing directory or the same file as another of them, a ``--csv`` for
 ``profile solve``, and an ``--eps`` that leaves no report grid point (all
-checked before any work), and 2 when the run does not fit in memory (no
-report file is written).
+checked before any work), 2 when the run does not fit in memory (no
+report file is written), and 2 when the system refuses to open or write a
+``--json``, ``--csv`` or ``--dump`` file.
 """
 
 from __future__ import annotations
@@ -127,6 +128,20 @@ def _check_output_paths(args) -> None:
         seen[real] = flag
 
 
+class _WriteError(Exception):
+    """The system refused to open or write an output file."""
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an ``OSError`` while opening or writing it
+    is a :class:`_WriteError` naming the path and the reason."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 _LEAVES = {str, bool, type(None)}  # the leaf types of a report
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
@@ -180,8 +195,7 @@ def _emit_report(args, command: str, parameters: dict, results: list, passed: bo
     }
     if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    with open(args.json_path, "w") as fh:
-        fh.write(_json_text(report) + "\n")
+    _write_file(args.json_path, _json_text(report) + "\n")
 
 
 def _dump_tensors(path: str, n: int, seed: int) -> None:
@@ -196,8 +210,7 @@ def _dump_tensors(path: str, n: int, seed: int) -> None:
         ("Omega", big_omega),
         *zip(("pi", "phi", "psi"), space.blocks),
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(to_text(t, name) for name, t in records))
+    _write_file(path, "\n".join(to_text(t, name) for name, t in records))
 
 
 def _run_verify(args) -> tuple:
@@ -276,12 +289,9 @@ def _run_profile(args) -> tuple:
 
     if args.action == "report":
         passed = passed and len(rep.sign_change_points) >= 1
-        # each table value is formatted once, for the JSON and the CSV alike
-        grid_txt = _fmt_all(rep.grid)
-        ab2_txt = _fmt_all(rep.ab2_values)
         result["sign_change_points"] = [_fmt(t) for t in rep.sign_change_points]
-        result["grid"] = grid_txt
-        result["ab2_values"] = ab2_txt
+        if args.json_path or args.csv_path:  # formatted once, for the JSON and the CSV alike
+            result["grid"], result["ab2_values"] = _fmt_all(rep.grid), _fmt_all(rep.ab2_values)
         # cross-check the two algebraically equal forms away from the endpoints
         inside = (rep.grid >= eps) & (rep.grid <= p.L - eps)
         alternate = ab2_alternate(p, rep.grid[inside], eps=eps)
@@ -295,8 +305,8 @@ def _run_profile(args) -> tuple:
         pts = ", ".join(f"{t:.12g}" for t in rep.sign_change_points)
         print(f"sign changes of a+b/2 at: {pts}")
         if args.csv_path:
-            with open(args.csv_path, "w") as fh:
-                fh.write("t,ab2\n" + "\n".join(map(",".join, zip(grid_txt, ab2_txt))) + "\n")
+            rows = map(",".join, zip(result["grid"], result["ab2_values"]))
+            _write_file(args.csv_path, "t,ab2\n" + "\n".join(rows) + "\n")
 
     parameters = {
         "r0": _fmt(args.r0),
@@ -324,6 +334,9 @@ def main(argv=None) -> int:
     except NumericBreakdownError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except UsageError as exc:  # arguments outside their domain, refused before any work
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

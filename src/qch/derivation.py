@@ -20,6 +20,13 @@ invariants, each exact bit for bit:
 - X1 <= X2 mirror.  When every target is antisymmetric in its first output
   pair bit for bit, each slot's term at (X2, X1) sums the negated terms at
   (X1, X2) in the same order, so a sweep's sups are reached on X1 <= X2.
+- X3 X4 swap.  When every target of a sweep of several slabs is also
+  antisymmetric in its second pair bit for bit, the last slot's term is
+  minus the third slot's with X3 and X4 swapped, summed in the same order
+  by both matmuls wherever the last slot's one is above the small-matrix
+  cut below (from d = 20 on); there it is not formed, and the third slot's
+  term is added transposed instead.  At d = 18, below the cut, the two
+  differ in the last bit.
 - Two fixed blocks.  A sweep of several slabs forms each product on the two
   blocks of :func:`_blocks`, which depend on d alone; cores decide only
   whether one worker forms both or two form one each.  A sweep of one slab
@@ -65,6 +72,9 @@ _WARN_TOL = 1e-8
 # Largest slab of a derivation product that fused_sups forms at once, in bytes.
 # A slab holds at least one (U, V) pair, so from d = 20 on one pair exceeds it.
 SLAB_BYTES = 2**20
+
+# OpenBLAS runs a matmul of M N K at most this on its small-matrix kernel.
+_SMALL_MNK = 10**6
 
 
 class KahlerSymmetryWarning(UserWarning):
@@ -143,7 +153,7 @@ def _checked_operators(r: CurvatureTensor) -> np.ndarray:
 def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
                  out: np.ndarray | None = None, term: np.ndarray | None = None,
                  rows: slice = slice(None), cols: slice = slice(None),
-                 head: np.ndarray | None = None) -> np.ndarray:
+                 head: np.ndarray | None = None, antisym: bool = False) -> np.ndarray:
     """Entries of R(U, V) . T for the pairs ``lo:hi`` of each trial's operator
     stack, restricted to the ``rows`` of the first slot of ``t`` and, for a
     tensor of two or more slots, the ``cols`` of its second.
@@ -159,7 +169,12 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
     changes no bit.  The result is written into ``out`` and each slot's term
     into ``term`` when they are given (contiguous arrays of at least the
     result's size), so a caller that keeps both across slabs allocates
-    nothing per slab.
+    nothing per slab but numpy's buffer of the transposed add below
+    (``np.getbufsize()`` values, freed when it returns).  ``antisym`` says
+    that each trial's tensor is (0,4) and antisymmetric in its last two
+    slots bit for bit; where the last slot's matmul is above
+    :data:`_SMALL_MNK`, its term is then not formed, and the third slot's is
+    added transposed (see the module docstring).
     """
     d = ops.shape[-1]
     ops = ops[:, lo:hi]
@@ -180,6 +195,10 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
         src = first if slot == 0 else t[:, rows] if slot == 1 else head
         cut = (rows, cols)[slot] if slot < 2 else slice(None)
         left, right = math.prod(src.shape[1:slot + 1]), math.prod(src.shape[slot + 2:])
+        if slot == 3 and antisym and left * d * d > _SMALL_MNK:
+            # -T(X1, X2, X3, A X4) = T(X1, X2, A X4, X3): slot 2's term, in ``term``
+            np.add(out, term.swapaxes(-1, -2), out=out)
+            continue
         if right == 1:
             np.matmul(src.reshape(len(src), 1, left, d), ops[..., cut],
                       out=dst.reshape(nb, m, left, -1))
@@ -298,7 +317,9 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
     the stacks' pair counts disagree, each stack of the pairs U < V is
     expanded to all pairs.  A sweep of several slabs forms only the blocks
     over X1 <= X2 when every target is antisymmetric in its first pair, the
-    full square otherwise.  A value that is not finite is returned, not
+    full square otherwise, and derives the last slot's term from the third's
+    when every target is antisymmetric in its second pair (see
+    :func:`_action_slab`).  A value that is not finite is returned, not
     raised.  Each worker's buffers are kept in ``pool``, when given, for the
     next call of at most as many products and slabs no larger.
     """
@@ -312,11 +333,12 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
     per = min(trials, max(1, SLAB_BYTES // (8 * count * d**4 * (len(stacks) + 1))))
     step = min(count, max(1, SLAB_BYTES // (8 * d**4)))
     if count > step:
-        blocks = _blocks(d, all(_antisymmetric_in_first_pair(t)
-                                for t in {id(t): t for t in targets}.values()))
+        distinct = {id(t): t for t in targets}.values()
+        blocks = _blocks(d, all(_antisymmetric_in_first_pair(t) for t in distinct))
+        antisym = all(np.array_equal(t, -t.swapaxes(3, 4)) for t in distinct)
         blas = _openblas()
     else:
-        blocks, blas = ((slice(0, d), slice(0, d)),), None
+        blocks, blas, antisym = ((slice(0, d), slice(0, d)),), None, False
     workers = min(len(os.sched_getaffinity(0)), 2) if blas else 1
     pool = [] if pool is None else pool
     jobs = []
@@ -354,7 +376,7 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
                     b1, hi = min(b0 + per, trials), min(lo + step, count)
                     slabs = [
                         _action_slab(part(ops, b0, b1), part(t, b0, b1), 0, lo, hi, out, term,
-                                     rows, cols, part(head[id(t)], b0, b1))
+                                     rows, cols, part(head[id(t)], b0, b1), antisym)
                         for ops, t, out in zip(stacks, targets, products)
                     ]
                     left = _weighted_sum(slabs[:split], c)
@@ -420,10 +442,11 @@ def fused_sups(
     lets them share the slab buffers, reallocated only for a call of more
     products or larger slabs than they hold.
 
-    The pair layout, the blocks and the workers are those of the module
-    docstring, and none changes a bit.  A coefficient that is not finite is a
-    ``ValueError``, raised before any product; a reduced value that is not
-    finite is a :class:`NumericBreakdownError` naming ``check``.
+    The pair layout, the blocks, the derived last slot and the workers are
+    those of the module docstring, and none changes a bit.  A coefficient
+    that is not finite is a ``ValueError``, raised before any product; a
+    reduced value that is not finite is a :class:`NumericBreakdownError`
+    naming ``check``.
     """
     if not lhs:
         raise ValueError("fused_sups needs at least one (actor, target) pair on the left")

@@ -448,6 +448,78 @@ def test_a_run_that_does_not_fit_in_memory_is_refused(args, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+class _Refusing:
+    """A file opened for writing whose ``write`` the system refuses."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["verify", "table", "--n", "2"], "--json"),
+    (["verify", "table", "--n", "2"], "--dump"),
+    (["profile", "report", "--r0", "1", "--L", "3", "--k", "1", "--n", "2"], "--csv"),
+    (["profile", "report", "--r0", "1", "--L", "3", "--k", "1", "--n", "2"], "--json"),
+    (["profile", "solve", "--r0", "1", "--L", "3", "--k", "1", "--n", "2"], "--json"),
+])
+@pytest.mark.parametrize("refused", ["open", "write"])
+def test_an_output_file_the_system_refuses_exits_2_with_one_line(
+        args, flag, refused, tmp_path, monkeypatch, capsys):
+    # the path passes the checks made before any work; opening it, or
+    # writing it, fails afterwards
+    path = str(tmp_path / "out")
+
+    def failing(file, mode="r", *rest, **kwargs):
+        assert file == path and mode == "w"
+        if refused == "open":
+            raise PermissionError(13, "Permission denied")
+        return _Refusing()
+
+    monkeypatch.setattr(cli, "open", failing, raising=False)
+    assert main(args + [flag, path]) == 2
+    captured = capsys.readouterr()
+    reason = "Permission denied" if refused == "open" else "No space left on device"
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
+    assert "Traceback" not in captured.err
+
+
+def test_an_os_error_outside_the_output_files_is_not_caught(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    with pytest.raises(OSError, match="Input/output error"):
+        main(["verify", "table", "--n", "2", "--json", os.devnull])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags, calls", [
+    ([], 0), (["--json", "r.json"], 2), (["--csv", "t.csv"], 2),
+    (["--json", "r.json", "--csv", "t.csv"], 2),
+])
+def test_profile_tables_are_formatted_only_for_a_file(flags, calls, tmp_path, monkeypatch,
+                                                      capsys):
+    formatted = []
+    real = cli._fmt_all
+
+    def counting(values):
+        formatted.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(cli, "_fmt_all", counting)
+    monkeypatch.chdir(tmp_path)
+    args = ["profile", "report", "--r0", "1", "--L", "3", "--k", "1", "--n", "2", "--grid", "50"]
+    assert main(args + flags) == 0
+    capsys.readouterr()
+    assert formatted == [50] * calls
+
+
 @pytest.mark.parametrize("e", ["-300", "-60", "80", "300", "39"])
 def test_an_extreme_interval_length_exits_with_a_named_breakdown(e, capsys):
     assert main(["profile", "solve", "--r0", "1", "--L", f"1e{e}", "--k", "1", "--n", "2"]) == 1

@@ -169,9 +169,9 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     seen = {}
 
     def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-                  head=None):
+                  head=None, antisym=False):
         seen.setdefault(t.shape[-1], set()).add((lo, hi, *_block_key(rows, cols)))
-        return real(ops, t, rk, lo, hi, out, term, rows, cols, head)
+        return real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
 
     for n, seed in itertools.product((2, 3, 4), (0, 1)):
         monkeypatch.setattr(derivation, "_action_slab", recording)
@@ -209,9 +209,9 @@ def _record_stacks(monkeypatch):
     seen = []
 
     def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-                  head=None):
+                  head=None, antisym=False):
         seen.append((ops.shape[1], lo, hi, *_block_key(rows, cols)))
-        return real(ops, t, rk, lo, hi, out, term, rows, cols, head)
+        return real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
 
     monkeypatch.setattr(derivation, "_action_slab", recording)
     return seen
@@ -451,6 +451,88 @@ def test_the_blocks_form_the_full_squares_entries_and_the_mirror_is_exact(n):
             assert np.array_equal(block, square[:, :, rows, cols]), (lo, rows)
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_the_derived_last_slot_equals_the_four_slot_product_bit_for_bit(n):
+    # from d = 20 on, the last slot's matmul of every block is above the
+    # small-matrix cut; on targets antisymmetric in their second pair, each
+    # block's product with that slot's term added as the third slot's
+    # transposed is the four-slot one, for one trial and for a batch
+    sp = random_adapted_change(make_space(n), 5)
+    d = sp.dim
+    rs = derivation._combination(sp, np.array([0.7, -2.4]), np.array([-1.3, 0.3]),
+                                 np.array([2.1, 1.9]))
+    stacks = [(derivation._checked_operators(r), r.tensor.entries[None])
+              for r in (build_pi(sp), build_phi(sp), build_psi(sp))]
+    stacks.append((derivation._prepared(sp, rs)[0], rs))
+    blocks = derivation._blocks(d, True) + derivation._blocks(d, False)
+    for ops, t in stacks:
+        assert np.array_equal(t, -t.swapaxes(3, 4))
+        for i, (rows, cols) in enumerate(blocks):
+            lo = 37 * i % ops.shape[1]
+            head = np.ascontiguousarray(t[:, rows, cols])
+            four = derivation._action_slab(ops, t, 0, lo, lo + 1, rows=rows, cols=cols, head=head)
+            derived = derivation._action_slab(ops, t, 0, lo, lo + 1, rows=rows, cols=cols,
+                                              head=head, antisym=True)
+            assert np.array_equal(derived, four), (len(t), rows, cols)
+
+
+@pytest.mark.parametrize("d", range(4, 26, 2))
+def test_the_last_slot_is_derived_from_d20_on_in_every_block(d):
+    # on a target that is not antisymmetric in its second pair the derived
+    # term is wrong, so the flag changes a block's product exactly where the
+    # rule applies: nowhere at d <= 18 (at d = 18 the two would differ in the
+    # last bit), everywhere from d = 20 on
+    rng = np.random.default_rng(d)
+    ops, t = rng.standard_normal((1, 1, d, d)), rng.standard_normal((1,) + (d,) * 4)
+    for rows, cols in derivation._blocks(d, True) + derivation._blocks(d, False):
+        head = np.ascontiguousarray(t[:, rows, cols])
+        four = derivation._action_slab(ops, t, 0, 0, 1, rows=rows, cols=cols, head=head)
+        derived = derivation._action_slab(ops, t, 0, 0, 1, rows=rows, cols=cols, head=head,
+                                          antisym=True)
+        assert np.array_equal(derived, four) == (d <= 18), (rows, cols)
+
+
+def _one_ulp_off_in_the_second_pair(r):
+    """``r`` with its entries (0, 1, 2, 3) and (1, 0, 2, 3) moved one ulp
+    apart from zero, so that it stays antisymmetric in its first pair only."""
+    arr = np.array(r.tensor.entries)
+    arr[0, 1, 2, 3] = np.nextafter(arr[0, 1, 2, 3], math.copysign(np.inf, arr[0, 1, 2, 3]))
+    arr[1, 0, 2, 3] = -arr[0, 1, 2, 3]
+    return CurvatureTensor(Tensor(r.space.dim, (0, 4), arr), r.space)
+
+
+def test_a_target_one_ulp_from_antisymmetric_in_its_second_pair_forms_four_slots(monkeypatch):
+    # d = 20: the target one ulp off keeps the blocks over X1 <= X2 but
+    # forms every slot; its sups are those of the dense products, formed
+    # pair by pair over the pairs U < V, each slot one matmul over the square
+    sp = random_adapted_change(make_space(10), 3)
+    d = sp.dim
+    pi = build_pi(sp)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    off = _one_ulp_off_in_the_second_pair(r)
+    t = off.tensor.entries
+    assert derivation._antisymmetric_in_first_pair(t[None])
+    assert not np.array_equal(t, -t.swapaxes(2, 3))
+    flags = []
+    real = derivation._action_slab
+
+    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
+                  head=None, antisym=False):
+        flags.append((antisym, *_block_key(rows, cols)))
+        return real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
+
+    monkeypatch.setattr(derivation, "_action_slab", recording)
+    ops = derivation._checked_operators(pi)[0]
+    assert len(ops) == _upper(d)
+    dense = max(np.max(np.abs(_square_by_slot(op, t))) for op in ops)
+    assert derivation.fused_sups([(pi, off)]) == (dense, dense)
+    assert {flag for flag, *_ in flags} == {False}
+    assert {tuple(block) for _, *block in flags} == set(_sweep_blocks(d))
+    flags.clear()
+    derivation.fused_sups([(pi, r)])  # the untouched target takes the derived slot
+    assert {flag for flag, *_ in flags} == {True}
+
+
 def _blas_threads():
     get, _ = derivation._openblas()
     return get()
@@ -539,8 +621,8 @@ def test_a_breakdown_in_one_worker_reaches_the_caller_with_the_check_name(monkey
     real = derivation._action_slab
 
     def faulty(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-               head=None):
-        slab = real(ops, t, rk, lo, hi, out, term, rows, cols, head)
+               head=None, antisym=False):
+        slab = real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
         if rows.start:  # only worker 1's block overflows
             slab.flat[0] = np.inf
         return slab
@@ -582,7 +664,7 @@ def test_an_exception_in_one_worker_reaches_the_caller_and_stops_the_other(monke
     error = RuntimeError("a worker failed")
 
     def faulty(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-               head=None):
+               head=None, antisym=False):
         if (rows.start > 0) == failing:  # worker 1 forms the block of rows [r, d)
             entered.wait(timeout=60)
             raise error
@@ -594,7 +676,7 @@ def test_an_exception_in_one_worker_reaches_the_caller_and_stops_the_other(monke
             else:
                 waited.append(stops[0].wait(timeout=60))
         formed.append((lo, hi))
-        return real(ops, t, rk, lo, hi, out, term, rows, cols, head)
+        return real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
 
     monkeypatch.setattr(derivation, "_action_slab", faulty)
     before, alive = _blas_threads(), threading.active_count()
@@ -678,10 +760,10 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     real_slab = derivation._action_slab
 
     def counting_slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None),
-                      cols=slice(None), head=None):
+                      cols=slice(None), head=None, antisym=False):
         # a relation's products are one trial: its stack, and a view of its target
         slabs.append((id(ops), id(t.base), lo, hi, *_block_key(rows, cols)))
-        return real_slab(ops, t, rk, lo, hi, out, term, rows, cols, head)
+        return real_slab(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
 
     monkeypatch.setattr(derivation, "_action_slab", counting_slab)
     checks = _count_checks(monkeypatch)
@@ -863,6 +945,35 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
             assert peak <= (len(pairs) + 1) * slab + ops_bytes, (len(pairs), cores, peak)
 
 
+def test_the_derived_last_slot_allocates_nothing_per_slab(monkeypatch):
+    # d = 20, one pair a slab: the transposed add of the third slot's term
+    # keeps within the bound of the four-slot sweeps at d = 8 (its operand
+    # is buffered by numpy, np.getbufsize() values at a time)
+    sp = random_adapted_change(make_space(10), 3)
+    pi = build_pi(sp)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    d = sp.dim
+    slab = 8 * d**4
+    monkeypatch.setattr(derivation, "SLAB_BYTES", slab)
+    pairs = [(r, r), (pi, r)]
+    operators = {a: derivation._checked_operators(a) for a, _ in pairs}
+    flags = set()
+    real = derivation._action_slab
+    monkeypatch.setattr(derivation, "_action_slab",
+                        lambda *args: flags.add(args[-1]) or real(*args))
+    for cores in (1, 2):
+        _use_cores(monkeypatch, cores)
+        tracemalloc.start()
+        try:
+            derivation.fused_sups(pairs[:1], pairs[1:], (1.0, 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ops_bytes = sum(ops.nbytes for ops in operators.values())
+        assert peak <= (len(pairs) + 1) * slab + ops_bytes, (cores, peak)
+    assert flags == {True}
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_one_pool_through_rows_of_one_two_and_four_products_gives_fresh_sups(n):
     # buffers kept for fewer products are not reused as they are: a row of
@@ -911,9 +1022,9 @@ def test_each_distinct_target_of_a_row_is_gated_and_copied_once(monkeypatch):
         return real_gate(t)
 
     def slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-             head=None):
+             head=None, antisym=False):
         heads[id(head)] = head  # kept alive, so that no id is reused
-        return real_slab(ops, t, rk, lo, hi, out, term, rows, cols, head)
+        return real_slab(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
 
     sp = random_adapted_change(make_space(5), 2)
     verify_eq32(sp)  # the stage's actors are prepared, and gated, once
