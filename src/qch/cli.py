@@ -20,14 +20,14 @@ boundary bound that is not below s), 2 on usage errors, among them a
 existing directory or the same file as another of them, a ``--csv`` for
 ``profile solve``, and an ``--eps`` that leaves no report grid point (all
 checked before any work), 2 when the run does not fit in memory (no
-report file is written), and 2 when the system refuses to open or write a
-``--json``, ``--csv`` or ``--dump`` file.
+report file is written; a ``--grid``, ``--n`` or ``--trials`` whose arrays
+would pass ``sys.maxsize`` bytes is refused before any work), and 2 when the
+system refuses to open or write a ``--json``, ``--csv`` or ``--dump`` file.
 """
 
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import math
 import os
@@ -239,22 +239,6 @@ def _run_verify(args) -> tuple:
     return f"verify {args.suite}", parameters, [_check_dict(r) for r in results], overall, str(args.seed)
 
 
-def _grid_meets_margin(L: float, grid: int, eps: float) -> bool:
-    """Whether ``np.linspace(0.0, L, grid)`` has a point in ``[eps, L - eps]``,
-    in linspace's float arithmetic but without forming the grid: point i is
-    ``i * (L / (grid - 1))`` (``i / (grid - 1) * L`` where that step is zero)
-    and the last is L.  The points rise with i, so the first at or past eps
-    decides."""
-    last = grid - 1
-    step = L / last
-
-    def point(i: int) -> float:
-        return L if i == last else i * step if step else i / last * L
-
-    i = bisect.bisect_left(range(grid), eps, key=point)
-    return i < grid and point(i) <= L - eps
-
-
 def _run_profile(args) -> tuple:
     """Solve one profile (and tabulate it for ``report``) and print it; return
     what :func:`_run_verify` returns."""
@@ -264,9 +248,13 @@ def _run_profile(args) -> tuple:
         raise UsageError("--eps must be finite, positive and less than L/2")
     eps = args.eps if args.eps is not None else args.L * 1e-3
     # an L that is not positive and finite is solve_profile's to name
-    if (args.action == "report" and 0 < args.L < math.inf
-            and not _grid_meets_margin(args.L, args.grid, eps)):
-        raise UsageError("--eps leaves no grid point for the alternate-form cross-check")
+    if args.action == "report" and 0 < args.L < math.inf:
+        if args.grid > sys.maxsize // 8:
+            raise MemoryError(f"a grid of {args.grid} 8-byte points exceeds the address space")
+        grid = np.linspace(0.0, args.L, args.grid)  # profile_report's grid and mask
+        if not ((grid >= eps) & (grid <= args.L - eps)).any():
+            raise UsageError("--eps leaves no grid point for the alternate-form cross-check")
+        del grid  # freed before the solve
 
     p = solve_profile(args.r0, args.L, args.k, args.n)
     print(f"profile r0={p.r0} L={p.L} k={p.k} n={p.n}: s={p.s} "

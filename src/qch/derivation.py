@@ -270,6 +270,8 @@ def _openblas():
     return None
 
 
+_BLAS = _openblas()  # looked up once per process, not once per sweep
+
 # Held from pinning OpenBLAS to one thread until its old count is restored, so
 # two concurrent sweeps cannot leave it pinned.
 _BLAS_LOCK = threading.Lock()
@@ -336,7 +338,7 @@ def _sups(stacks: list, targets: list, split: int, coeffs: tuple, pool: list | N
         distinct = {id(t): t for t in targets}.values()
         blocks = _blocks(d, all(_antisymmetric_in_first_pair(t) for t in distinct))
         antisym = all(np.array_equal(t, -t.swapaxes(3, 4)) for t in distinct)
-        blas = _openblas()
+        blas = _BLAS
     else:
         blocks, blas, antisym = ((slice(0, d), slice(0, d)),), None, False
     workers = min(len(os.sched_getaffinity(0)), 2) if blas else 1
@@ -438,9 +440,9 @@ def fused_sups(
     is summed left to right in its first product's buffer, then scaled
     (unless its coefficient is 1.0).  Each actor is symmetry-checked once per
     tensor and stage and, if it fails, warns once per call.  A caller that
-    passes the same ``pool`` list to several calls (a stage's relation rows)
-    lets them share the slab buffers, reallocated only for a call of more
-    products or larger slabs than they hold.
+    passes the same ``pool`` list to several calls (the relation rows of one
+    verifier) lets them share the slab buffers, reallocated only for a call
+    of more products or larger slabs than they hold.
 
     The pair layout, the blocks, the derived last slot and the workers are
     those of the module docstring, and none changes a bit.  A coefficient

@@ -17,6 +17,7 @@ reproduce identical results.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -89,6 +90,8 @@ def _check_draws(trials: int, coeff_range: float) -> int:
     if not (math.isfinite(2.0 * coeff_range) and coeff_range > 0):
         raise UsageError(f"coeff_range must be positive with 2 * coeff_range finite, "
                          f"got {coeff_range!r}")
+    if 24 * trials > sys.maxsize:  # the (trials, 3) draws, 8 bytes each
+        raise MemoryError(f"the draws of {trials} trials exceed the address space")
     return trials
 
 
@@ -237,7 +240,9 @@ def run_suite(
     suite also exercises basis independence; the product-route factor
     curvatures are drawn from the same seeded stream.  Every ``n`` (an integer
     >= 2) and seed (an integer >= 0), ``tol``, ``trials`` and ``coeff_range``
-    are validated before any work, whatever the suite.  An empty ``n_list``
+    are validated before any work, whatever the suite; an ``n`` whose d^4
+    blocks (d = 2n) or ``trials`` whose (trials, 3) draws would exceed
+    ``sys.maxsize`` bytes is then a ``MemoryError``.  An empty ``n_list``
     yields an empty report.
     """
     if suite not in SUITES:
@@ -246,6 +251,8 @@ def run_suite(
     trials = _check_draws(trials, coeff_range)
     n_list = [_checked_int(n, 2, "complex dimension n") for n in n_list]
     seeds = [_checked_int(seed, 0, "seed") for seed in seeds]
+    if n_list and 8 * (2 * max(n_list)) ** 4 > sys.maxsize:  # a d^4 block, d = 2n
+        raise MemoryError(f"the d^4 blocks of n = {max(n_list)} exceed the address space")
     results: list[CheckResult] = []
     for n in n_list:
         for seed in seeds:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qch import cli, derivation, profiles
+from qch import cli, derivation, identities, profiles
 from qch import (
     SUITES,
     UsageError,
@@ -19,6 +19,7 @@ from qch import (
     parse_records,
     profile_report,
     random_adapted_change,
+    run_suite,
     solve_profile,
     verify_theorem1,
 )
@@ -286,18 +287,13 @@ def test_profile_cross_check_is_never_skipped(eps, grid, monkeypatch, capsys):
     assert "usage error" in captured.err
 
 
-@pytest.mark.parametrize("L", [1.0, 3.141592653589793, 17.952562351447572, 1e-300, 5e-324,
-                               1.5e-323, 1e300])
-def test_the_margin_decision_matches_the_cross_check_mask(L):
-    # margins at, just inside and just outside each grid point, and the
-    # default L/1000; the two subnormal L make linspace's step underflow
-    for grid in range(3, 40):
-        points = np.linspace(0.0, L, grid)
-        margins = {L * 1e-3, *(p for p in points if 0 < p < L / 2)}
-        margins |= {np.nextafter(m, side) for m in set(margins) for side in (0.0, L)}
-        for eps in margins:
-            inside = (points >= eps) & (points <= L - eps)
-            assert cli._grid_meets_margin(L, grid, eps) == inside.any(), (grid, eps)
+@pytest.mark.parametrize("grid, eps", [("6", "0.4"), ("4", "0.33333333333333337")])
+def test_the_margin_is_closed_at_both_ends(grid, eps, capsys):
+    # the one grid point in [eps, 1 - eps] is eps itself (0.4 of six points),
+    # or 1 - eps (2/3 of four points): it takes the cross-check
+    args = ["profile", "report", "--r0", "1", "--L", "1", "--k", "1", "--n", "2"]
+    assert main(args + ["--grid", grid, "--eps", eps]) == 0
+    capsys.readouterr()
 
 
 def test_boundary_residual_bound_scales_with_rounding(capsys):
@@ -441,11 +437,51 @@ def test_a_run_that_does_not_fit_in_memory_is_refused(args, tmp_path, monkeypatc
         raise MemoryError
 
     monkeypatch.setattr(cli, "run_suite", exhausted)
+    monkeypatch.setattr(cli.np, "linspace", exhausted)  # the report's grid, formed first
     monkeypatch.setattr(cli, "profile_report", exhausted)
     out = tmp_path / "out"
     assert main(args + [str(out), "--json", str(tmp_path / "r.json")]) == 2
     assert "does not fit in memory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_REPORT = ["profile", "report", "--r0", "1", "--L", "1", "--k", "1", "--n", "2"]
+
+
+@pytest.mark.parametrize("args", [
+    *(_REPORT + ["--grid", str(grid)] for grid in (sys.maxsize // 8 + 1, 2**62, 2**63 - 1, 10**21)),
+    ["verify", "table", "--n", "16384"],
+    ["verify", "table", "--n", str(10**19)],
+    ["verify", "theorem1", "--n", "2", "--trials", str(sys.maxsize // 24 + 1)],
+    ["verify", "theorem1", "--n", "2", "--trials", str(10**19)],
+    ["verify", "theorem1", "--n", "2", "--trials", "3074457345618258603"],
+])
+def test_an_array_past_the_address_space_is_refused_before_any_work(
+        args, tmp_path, monkeypatch, capsys):
+    def no_work(*a, **kw):
+        pytest.fail("work started")
+
+    for module, name in [(cli.np, "linspace"), (cli, "solve_profile"), (identities, "make_space")]:
+        monkeypatch.setattr(module, name, no_work)
+    assert main(args + ["--json", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the run does not fit in memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_address_space_bounds_are_tight(monkeypatch):
+    # the largest n, trials and grid whose arrays can be addressed pass to the work
+    def no_work(*a, **kw):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(identities, "make_space", no_work)
+    monkeypatch.setattr(cli.np, "linspace", no_work)
+    for n, trials in [(16383, 1), (2, sys.maxsize // 24)]:
+        with pytest.raises(RuntimeError, match="work started"):
+            run_suite([n], [0], trials=trials, suite="theorem1")
+    with pytest.raises(RuntimeError, match="work started"):
+        main(_REPORT + ["--grid", str(sys.maxsize // 8)])
 
 
 class _Refusing:

@@ -8,6 +8,7 @@ before streaming; the two must give the same floats, whether the pairs form
 one slab or several.
 """
 
+import inspect
 import itertools
 import math
 import os
@@ -139,8 +140,23 @@ def _block_key(rows, cols):
 
 
 needs_openblas = pytest.mark.skipif(
-    derivation._openblas() is None, reason="numpy's bundled OpenBLAS thread control not found"
+    derivation._BLAS is None, reason="numpy's bundled OpenBLAS thread control not found"
 )
+
+
+def _spy_on_slab(monkeypatch, spy):
+    """Route every ``derivation._action_slab`` call through ``spy(a, slab)``:
+    ``a`` holds the call's arguments by name, defaults filled in, and
+    ``slab()`` forms the slab with the real kernel."""
+    real = derivation._action_slab
+    signature = inspect.signature(real)
+
+    def spying(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return spy(types.SimpleNamespace(**bound.arguments), lambda: real(*args, **kwargs))
+
+    monkeypatch.setattr(derivation, "_action_slab", spying)
 
 
 def _use_cores(monkeypatch, cores):
@@ -165,18 +181,16 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
     if budget is not None:
         monkeypatch.setattr(derivation, "SLAB_BYTES", budget)
     _use_cores(monkeypatch, 2)
-    real = derivation._action_slab
     seen = {}
 
-    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-                  head=None, antisym=False):
-        seen.setdefault(t.shape[-1], set()).add((lo, hi, *_block_key(rows, cols)))
-        return real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
+    def recording(a, slab):
+        seen.setdefault(a.t.shape[-1], set()).add((a.lo, a.hi, *_block_key(a.rows, a.cols)))
+        return slab()
 
     for n, seed in itertools.product((2, 3, 4), (0, 1)):
-        monkeypatch.setattr(derivation, "_action_slab", recording)
-        results = run_suite([n], [seed], trials=TRIALS)
-        monkeypatch.setattr(derivation, "_action_slab", real)
+        with monkeypatch.context() as m:
+            _spy_on_slab(m, recording)
+            results = run_suite([n], [seed], trials=TRIALS)
         dense = dense_defects(n, seed)
         fused = {r.name: r.max_defect for r in results if r.name in DERIVATION_CHECKS}
         assert fused == dense, (n, seed)
@@ -205,15 +219,13 @@ def _force_all_pairs(monkeypatch):
 def _record_stacks(monkeypatch):
     """Record the stack length, pair range and block (row start, row stop,
     column start) of every slab formed."""
-    real = derivation._action_slab
     seen = []
 
-    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-                  head=None, antisym=False):
-        seen.append((ops.shape[1], lo, hi, *_block_key(rows, cols)))
-        return real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
+    def recording(a, slab):
+        seen.append((a.ops.shape[1], a.lo, a.hi, *_block_key(a.rows, a.cols)))
+        return slab()
 
-    monkeypatch.setattr(derivation, "_action_slab", recording)
+    _spy_on_slab(monkeypatch, recording)
     return seen
 
 
@@ -514,14 +526,12 @@ def test_a_target_one_ulp_from_antisymmetric_in_its_second_pair_forms_four_slots
     assert derivation._antisymmetric_in_first_pair(t[None])
     assert not np.array_equal(t, -t.swapaxes(2, 3))
     flags = []
-    real = derivation._action_slab
 
-    def recording(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-                  head=None, antisym=False):
-        flags.append((antisym, *_block_key(rows, cols)))
-        return real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
+    def recording(a, slab):
+        flags.append((a.antisym, *_block_key(a.rows, a.cols)))
+        return slab()
 
-    monkeypatch.setattr(derivation, "_action_slab", recording)
+    _spy_on_slab(monkeypatch, recording)
     ops = derivation._checked_operators(pi)[0]
     assert len(ops) == _upper(d)
     dense = max(np.max(np.abs(_square_by_slot(op, t))) for op in ops)
@@ -534,7 +544,7 @@ def test_a_target_one_ulp_from_antisymmetric_in_its_second_pair_forms_four_slots
 
 
 def _blas_threads():
-    get, _ = derivation._openblas()
+    get, _ = derivation._BLAS
     return get()
 
 
@@ -545,15 +555,14 @@ def test_a_split_sweep_pins_blas_to_one_thread_and_restores_it(monkeypatch):
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
     _use_cores(monkeypatch, 2)
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
-    real = derivation._action_slab
     during = set()
 
-    def recording(*args):
+    def recording(a, slab):
         during.add((threading.get_ident(), _blas_threads()))
-        return real(*args)
+        return slab()
 
-    monkeypatch.setattr(derivation, "_action_slab", recording)
-    get, put = derivation._openblas()
+    _spy_on_slab(monkeypatch, recording)
+    get, put = derivation._BLAS
     old = get()
     put(2)
     try:
@@ -598,6 +607,7 @@ def test_a_missing_blas_symbol_runs_one_worker(monkeypatch):
 
     monkeypatch.setattr(derivation.ctypes, "CDLL", NoSymbols)
     assert derivation._openblas() is None
+    monkeypatch.setattr(derivation, "_BLAS", None)  # what the lookup at import then holds
     sp = random_adapted_change(make_space(4), 3)
     pi = build_pi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
@@ -618,16 +628,14 @@ def test_a_breakdown_in_one_worker_reaches_the_caller_with_the_check_name(monkey
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
     _use_cores(monkeypatch, 2)
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
-    real = derivation._action_slab
 
-    def faulty(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-               head=None, antisym=False):
-        slab = real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
-        if rows.start:  # only worker 1's block overflows
-            slab.flat[0] = np.inf
-        return slab
+    def faulty(a, slab):
+        out = slab()
+        if a.rows.start:  # only worker 1's block overflows
+            out.flat[0] = np.inf
+        return out
 
-    monkeypatch.setattr(derivation, "_action_slab", faulty)
+    _spy_on_slab(monkeypatch, faulty)
     before, threads = _blas_threads(), threading.active_count()
     name = "theorem1:r.r=(a+b/2)pi.r"
     with pytest.raises(NumericBreakdownError, match=re.escape(name)):
@@ -660,12 +668,10 @@ def test_an_exception_in_one_worker_reaches_the_caller_and_stops_the_other(monke
         return threads[-1]
 
     monkeypatch.setattr(derivation, "threading", types.SimpleNamespace(Event=event, Thread=thread))
-    real = derivation._action_slab
     error = RuntimeError("a worker failed")
 
-    def faulty(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-               head=None, antisym=False):
-        if (rows.start > 0) == failing:  # worker 1 forms the block of rows [r, d)
+    def faulty(a, slab):
+        if (a.rows.start > 0) == failing:  # worker 1 forms the block of rows [r, d)
             entered.wait(timeout=60)
             raise error
         if not formed:
@@ -675,10 +681,10 @@ def test_an_exception_in_one_worker_reaches_the_caller_and_stops_the_other(monke
                 waited.append(not threads[0].is_alive())
             else:
                 waited.append(stops[0].wait(timeout=60))
-        formed.append((lo, hi))
-        return real(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
+        formed.append((a.lo, a.hi))
+        return slab()
 
-    monkeypatch.setattr(derivation, "_action_slab", faulty)
+    _spy_on_slab(monkeypatch, faulty)
     before, alive = _blas_threads(), threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))
@@ -757,15 +763,13 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     _use_cores(monkeypatch, 2)
     slabs = []
-    real_slab = derivation._action_slab
 
-    def counting_slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None),
-                      cols=slice(None), head=None, antisym=False):
+    def counting_slab(a, slab):
         # a relation's products are one trial: its stack, and a view of its target
-        slabs.append((id(ops), id(t.base), lo, hi, *_block_key(rows, cols)))
-        return real_slab(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
+        slabs.append((id(a.ops), id(a.t.base), a.lo, a.hi, *_block_key(a.rows, a.cols)))
+        return slab()
 
-    monkeypatch.setattr(derivation, "_action_slab", counting_slab)
+    _spy_on_slab(monkeypatch, counting_slab)
     checks = _count_checks(monkeypatch)
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 4**4)
     products = [(psi, pi), (pi, psi), (phi, psi), (psi, phi)]
@@ -818,15 +822,14 @@ def test_a_failing_curvature_warns_on_every_use(monkeypatch):
 def test_a_perturbed_slab_fails_every_derivation_check(monkeypatch):
     # the perturbation grows with every slab formed, so no check's linear
     # combination of products can cancel it
-    real = derivation._action_slab
     counter = itertools.count(1)
 
-    def faulty(*args):
-        out = real(*args)
+    def faulty(a, slab):
+        out = slab()
         out.flat[0] += 1e-3 * next(counter)
         return out
 
-    monkeypatch.setattr(derivation, "_action_slab", faulty)
+    _spy_on_slab(monkeypatch, faulty)
     results = run_suite([2, 3], [0], trials=2)
     failed = {r.name for r in results if not r.passed}
     passed = {r.name for r in results if r.passed}
@@ -958,9 +961,7 @@ def test_the_derived_last_slot_allocates_nothing_per_slab(monkeypatch):
     pairs = [(r, r), (pi, r)]
     operators = {a: derivation._checked_operators(a) for a, _ in pairs}
     flags = set()
-    real = derivation._action_slab
-    monkeypatch.setattr(derivation, "_action_slab",
-                        lambda *args: flags.add(args[-1]) or real(*args))
+    _spy_on_slab(monkeypatch, lambda a, slab: flags.add(a.antisym) or slab())
     for cores in (1, 2):
         _use_cores(monkeypatch, cores)
         tracemalloc.start()
@@ -993,7 +994,7 @@ def test_one_pool_through_rows_of_one_two_and_four_products_gives_fresh_sups(n):
             fresh[i] for i in order]
 
 
-def test_the_relation_rows_of_a_stage_share_one_pool(monkeypatch):
+def test_the_relation_rows_of_one_verifier_share_one_pool(monkeypatch):
     pools = []
     real = identities.fused_sups
 
@@ -1015,21 +1016,20 @@ def test_each_distinct_target_of_a_row_is_gated_and_copied_once(monkeypatch):
     # distinct targets in 9 products and eq32's 6 in 8, so 13 gates and 13
     # head copies a block, not one per product
     gated, heads = [], {}
-    real_gate, real_slab = derivation._antisymmetric_in_first_pair, derivation._action_slab
+    real_gate = derivation._antisymmetric_in_first_pair
 
     def gate(t):
         gated.append(t)
         return real_gate(t)
 
-    def slab(ops, t, rk, lo, hi, out=None, term=None, rows=slice(None), cols=slice(None),
-             head=None, antisym=False):
-        heads[id(head)] = head  # kept alive, so that no id is reused
-        return real_slab(ops, t, rk, lo, hi, out, term, rows, cols, head, antisym)
+    def keeping(a, slab):
+        heads[id(a.head)] = a.head  # kept alive, so that no id is reused
+        return slab()
 
     sp = random_adapted_change(make_space(5), 2)
     verify_eq32(sp)  # the stage's actors are prepared, and gated, once
     monkeypatch.setattr(derivation, "_antisymmetric_in_first_pair", gate)
-    monkeypatch.setattr(derivation, "_action_slab", slab)
+    _spy_on_slab(monkeypatch, keeping)
     assert all(r.passed for r in verify_multiplication_table(sp) + verify_eq32(sp))
     assert len(gated) == 13
     assert len(heads) == 13 * len(derivation._blocks(sp.dim, True))
