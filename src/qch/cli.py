@@ -8,8 +8,8 @@ values with numpy's SIMD ``pow`` (AVX-512 or not).  Every numeric scalar is
 serialized as a decimal string with 17 significant digits so values
 round-trip exactly.  A report file holds
 ``json.dumps(report, indent=2)`` and a newline, byte for byte, and its text is
-built only when ``--json`` is given: a list of plain strings (a profile's grid
-and values) is joined, and other lists of leaves go through the C encoder.
+built only when ``--json`` is given, with a list of plain strings (a profile's
+grid and values) joined in one step.
 Every ``verify`` suite runs through :func:`~qch.identities.run_suite`, which
 validates ``--tol``, ``--trials`` and ``--coeff-range`` for every suite.  Each
 command's runner prints its lines and returns its report's parts and verdict;
@@ -142,7 +142,6 @@ def _write_file(path: str, text: str) -> None:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-_LEAVES = {str, bool, type(None)}  # the leaf types of a report
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
@@ -158,8 +157,7 @@ def _json_text(obj, indent: str = "\n") -> str:
 
     With an indent, ``json.dumps`` runs the pure-Python encoder.  Here a list
     of strings that need no escaping (see :func:`_plain`) is joined between
-    quotes, and every other list of leaves is one call to the C encoder,
-    whose item separator carries the line break and indent."""
+    quotes, and every other list is written item by item."""
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -169,11 +167,9 @@ def _json_text(obj, indent: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        types = set(map(type, obj))  # a set: any() over a generator is 5x slower
-        if types == {str} and _plain("".join(obj)):
+        # a set: any() over a generator is 5x slower
+        if set(map(type, obj)) == {str} and _plain("".join(obj)):
             body = '"' + ('",' + inner + '"').join(obj) + '"'
-        elif types <= _LEAVES:
-            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
         else:
             body = ("," + inner).join(_json_text(v, inner) for v in obj)
         return "[" + inner + body + indent + "]"

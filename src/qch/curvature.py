@@ -67,6 +67,8 @@ class CurvatureTensor:
     tensor: Tensor
     space: HermitianSpace
 
+    __array_ufunc__ = None  # as for Tensor: arithmetic with an array is a TypeError
+
     def __post_init__(self):
         if self.tensor.valence != (0, 4):
             raise ValueError("curvature must be a (0,4) tensor")

@@ -46,6 +46,7 @@ import ctypes
 import glob
 import itertools
 import math
+import numbers
 import os
 import threading
 import warnings
@@ -445,15 +446,16 @@ def fused_sups(
     of more products or larger slabs than they hold.
 
     The pair layout, the blocks, the derived last slot and the workers are
-    those of the module docstring, and none changes a bit.  A coefficient
-    that is not finite is a ``ValueError``, raised before any product; a
-    reduced value that is not finite is a :class:`NumericBreakdownError`
-    naming ``check``.
+    those of the module docstring, and none changes a bit.  ``coeffs`` that
+    are not two finite real numbers are a ``ValueError``, raised before any
+    product; a reduced value that is not finite is a
+    :class:`NumericBreakdownError` naming ``check``.
     """
     if not lhs:
         raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
-    if not all(math.isfinite(x) for x in coeffs):
-        raise ValueError(f"relation coefficients must be finite, got {coeffs!r}")
+    if not (np.shape(coeffs) == (2,)
+            and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in coeffs)):
+        raise ValueError(f"relation coefficients must be two finite reals (c, e), got {coeffs!r}")
     pairs = [*lhs, *rhs]
     d = pairs[0][1].space.dim
     if any(c.space.dim != d for pair in pairs for c in pair):

@@ -137,7 +137,7 @@ def solve_profile(r0: float, L: float, k: int, n: int) -> Profile:
     return Profile(r0=r0, L=L, s=s, gamma0=g0, gamma1=float(g1), k=k, n=n)
 
 
-def _domain(profile: Profile, t, lo: float, hi: float):
+def _domain(t, lo: float, hi: float):
     arr = np.asarray(t, dtype=float)
     if arr.ndim == 0:  # one float comparison: two on a 0-d array cost 9 us
         inside = lo <= float(arr) <= hi
@@ -166,7 +166,7 @@ def _powers(t):
 
 def eval_profile(profile: Profile, t):
     """Sample (r, r', r'', f, f') at ``t`` (scalar or array) in [0, L]."""
-    arr = _domain(profile, t, 0.0, profile.L)
+    arr = _domain(t, 0.0, profile.L)
     g0, g1, L, s = profile.gamma0, profile.gamma1, profile.L, profile.s
     r, rpp = (sum(terms) for terms in _terms(profile, arr, *_powers(arr)))
     rp = arr * (L - arr) * (g0 + g1 * arr)
@@ -201,17 +201,11 @@ def ab2(profile: Profile, t):
     Raises :class:`~qch.tensors.NumericBreakdownError` when a value
     overflows (near 0 it is about -2 s / r0**2, past the float range for
     r0 below about 1e-154)."""
-    arr = _domain(profile, t, 0.0, profile.L)
+    arr = _domain(t, 0.0, profile.L)
     with np.errstate(over="ignore"):
-        out = _ab2(profile, arr)
+        r, rpp = (sum(terms) for terms in _terms(profile, arr, *_powers(arr)))
+        out = -4.0 * rpp / r
     return _finite("ab2", out)
-
-
-def _ab2(profile: Profile, arr):
-    """-4 r''/r at the float array ``arr`` (0-d for one point), unchecked;
-    the caller ignores overflow and checks the values."""
-    r, rpp = (sum(terms) for terms in _terms(profile, arr, *_powers(arr)))
-    return -4.0 * rpp / r
 
 
 def ab2_alternate(profile: Profile, t, eps: float | None = None):
@@ -226,7 +220,7 @@ def ab2_alternate(profile: Profile, t, eps: float | None = None):
         eps = profile.L * 1e-3
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be a positive margin")
-    arr = _domain(profile, t, eps, profile.L - eps)
+    arr = _domain(t, eps, profile.L - eps)
     sample = eval_profile(profile, arr)
     r, rp, f, fp = (np.asarray(v) for v in (sample.r, sample.r_prime, sample.f, sample.f_prime))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -12,6 +12,7 @@ matrix of the endomorphism.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +226,8 @@ class Tensor:
 
     # -- arithmetic ---------------------------------------------------------
 
+    __array_ufunc__ = None  # numpy hands back an operation with an array: a TypeError
+
     def _binary(self, other: "Tensor", op) -> "Tensor":
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -242,7 +245,9 @@ class Tensor:
         return Tensor(self.dim, self.valence, -self.entries)
 
     def __mul__(self, scalar):
-        if not np.isscalar(scalar):
+        if isinstance(scalar, np.ndarray) and scalar.ndim == 0:
+            scalar = scalar[()]
+        if not isinstance(scalar, numbers.Real):
             return NotImplemented
         return Tensor(self.dim, self.valence, float(scalar) * self.entries)
 

@@ -285,6 +285,14 @@ def test_fit_recovers_exact_coefficients():
         assert residual <= 1e-12
 
 
+def test_fit_refuses_an_ill_conditioned_gram_system():
+    # the Gram matrix of the three blocks at n = 2 has condition number 59
+    r = combine(QCHCoefficients(1.2, -0.8, 0.5), make_space(2))
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        fit_coefficients(r, cond_limit=1.0)
+    assert fit_coefficients(r, cond_limit=100.0)[1] <= 1e-12
+
+
 def test_fit_flags_out_of_span_input():
     # constant-type curvature concentrated on a J-plane orthogonal to the
     # distinguished one: it has every symmetry, but no combination matches it

@@ -248,8 +248,10 @@ def test_a_non_finite_factor_is_rejected_before_any_product(factor, monkeypatch)
     monkeypatch.setattr(derivation, "_sups", refuse)
     sp = make_space(2)
     r, pi = combine(QCHCoefficients(0.0, 1.0, 0.0), sp), build_pi(sp)
-    for coeffs in ((factor, 1.0), (1.0, factor)):
-        with pytest.raises(ValueError, match="coefficients must be finite"):
+    # a non-finite value, and anything but two real numbers: one value, three
+    # values (the third would be dropped), a string
+    for coeffs in ((factor, 1.0), (1.0, factor), (1.0,), (1.0, 2.0, 3.0), ("1", 2.0)):
+        with pytest.raises(ValueError, match=r"coefficients must be two finite reals \(c, e\)"):
             fused_sups([(r, r)], [(pi, r)], coeffs)
     draws = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
     with pytest.raises(ValueError, match="factors must be finite"):

@@ -70,6 +70,11 @@ def test_invariant_validation_rejects_broken_frames():
         HermitianSpace(**{**good, "n": 1})
     with pytest.raises(ValueError):
         HermitianSpace(**{**good, "basis_map": np.zeros((4, 4))})
+    with pytest.raises(ValueError, match="basis_map must be a d x d matrix"):
+        HermitianSpace(**{**good, "basis_map": np.eye(3)})
+    # J in the place of g: a (1,1) tensor, caught before its asymmetry
+    with pytest.raises(ValueError, match=r"g must be a \(0,2\) tensor on R\^d"):
+        HermitianSpace(**{**good, "g": sp.J})
 
 
 def test_project_D_splits_vectors():

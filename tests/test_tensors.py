@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qch import (
+    CurvatureTensor,
     Tensor,
     build_pi,
     build_psi,
@@ -86,6 +87,25 @@ def test_arithmetic_is_entrywise():
         a + Tensor(3, (0, 2), np.eye(3))
     with pytest.raises(ValueError):
         a + Tensor(2, (0, 1), np.zeros(2))
+
+
+def test_arithmetic_with_an_array_or_a_non_real_is_a_type_error():
+    # numpy hands an operation with an array back to the tensor, which
+    # refuses it, rather than building an object array of tensors
+    t = Tensor(2, (0, 2), np.array([[1.0, -2.0], [0.5, 4.0]]))
+    pi = build_pi(make_space(2))
+    for expression in (lambda: np.ones(3) * t, lambda: t * np.ones(3),
+                       lambda: np.ones(3) * pi, lambda: pi * np.ones(3),
+                       lambda: t + np.ones((2, 2)), lambda: t - 1.0, lambda: t * "2"):
+        with pytest.raises(TypeError):
+            expression()
+    # a 0-d real of any type scales
+    for scaled in (2 * t, t * np.float64(2), t * np.array(2.0), np.array(2.0) * t):
+        assert type(scaled) is Tensor
+        assert np.array_equal(scaled.entries, 2.0 * t.entries)
+    twice = 2.0 * pi
+    assert type(twice) is CurvatureTensor and twice.space is pi.space
+    assert np.array_equal(twice.tensor.entries, 2.0 * pi.tensor.entries)
 
 
 def test_zeros_factory():
