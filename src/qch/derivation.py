@@ -35,6 +35,19 @@ invariants, each exact bit for bit:
   blocks of :func:`_blocks`, which depend on d alone; cores decide only
   whether one worker forms both or two form one each.  A sweep of one slab
   forms the full square as one block.
+- Stacked pairs.  A sweep of one slab whose first slot's matmul over the
+  slab's P pairs stacked, M N K = P d^5, is at most :data:`_STACK_MNK` (d <= 6
+  with the pairs U < V) stacks each trial's negated transposed operators
+  into one (P d, d) matrix: the first slot's term is then one matmul a
+  trial, the second's one a (trial, X1) and the third's one a (trial, X1,
+  X2), each added back through a transposed view, and the last slot's is
+  formed pair by pair as before.  Every matmul stays on OpenBLAS's
+  small-matrix kernel with the same K = d, whose sums do not depend on M,
+  so each entry is the pair-by-pair one bit for bit but for the sign of a
+  zero: the first slot's term is summed from negated operators where the
+  pair-by-pair path negates its sum, so a sum that cancels to +0 there is
+  -0 here, and every sup takes an abs.  Larger slabs and every other caller
+  keep the pair-by-pair matmuls, which are as fast from d = 8 on.
 - Small-matrix cut.  OpenBLAS (0.3.31) sums some entries of a matmul with
   M N K <= 1e6 otherwise than a larger one's, so a block's entries equal the
   full square's only while each of its matmuls stays on the same side of
@@ -80,6 +93,13 @@ SLAB_BYTES = 2**20
 
 # OpenBLAS runs a matmul of M N K at most this on its small-matrix kernel.
 _SMALL_MNK = 10**6
+
+# A one-slab sweep stacks a trial's P pairs into one operator matrix while the
+# first slot's stacked matmul, M N K = P d^5, is at most this.  Stacked over
+# pair-by-pair time of a slab of the pairs U < V, median of 30 interleaved
+# pairs on a 2-core Xeon: 0.87 for one trial and 0.64 for 28 at d = 4, 0.82
+# for two at d = 6 (P d^5 = 116640), 1.04 for one at d = 8 (917504).
+_STACK_MNK = 2 * 10**5
 
 
 class KahlerSymmetryWarning(UserWarning):
@@ -160,7 +180,8 @@ def _checked_operators(r: CurvatureTensor, stacklevel: int = 3) -> np.ndarray:
 def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
                  out: np.ndarray | None = None, term: np.ndarray | None = None,
                  rows: slice = slice(None), cols: slice = slice(None),
-                 head: np.ndarray | None = None, antisym: bool = False) -> np.ndarray:
+                 head: np.ndarray | None = None, antisym: bool = False,
+                 stacked: bool = False) -> np.ndarray:
     """Entries of R(U, V) . T for the pairs ``lo:hi`` of each trial's operator
     stack, restricted to the ``rows`` of the first slot of ``t`` and, for a
     tensor of two or more slots, the ``cols`` of its second.
@@ -177,14 +198,20 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
     into ``term`` when they are given (contiguous arrays of at least the
     result's size), so a caller that keeps both across slabs allocates
     nothing per slab but numpy's buffer of the transposed add below
-    (``np.getbufsize()`` values, freed when it returns).  ``antisym`` says
+    (``np.getbufsize()`` values, freed when it returns) and, when
+    ``stacked``, the stacked operators.  ``antisym`` says
     that each trial's tensor is (0,4) and antisymmetric in its last two
     slots bit for bit; where the last slot's matmul is above
     :data:`_SMALL_MNK`, its term is then not formed, and the third slot's is
-    added transposed (see the module docstring).
+    added transposed (see the module docstring).  ``stacked`` says that
+    each trial's tensor is (0,4) and ``rows`` and ``cols`` are the full
+    square: the slab is then formed with each trial's pairs stacked
+    (:func:`_stacked_slab`), equal bit for bit but for the sign of a zero.
     """
     d = ops.shape[-1]
     ops = ops[:, lo:hi]
+    if stacked:
+        return _stacked_slab(ops, t, out, term)
     ops_t = ops.transpose(0, 1, 3, 2)[:, :, None]
     nb, m = max(len(ops), len(t)), ops.shape[1]
     # the sources of the terms of the first slot (all its rows) and of the
@@ -193,8 +220,7 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
     if head is None:
         head = first[:, rows] if t.ndim > 1 else first
     shape = (nb, m) + head.shape[1:]
-    out, term = (np.empty(shape) if x is None else x.reshape(-1)[:math.prod(shape)].reshape(shape)
-                 for x in (out, term))
+    out, term = _buffer(out, shape), _buffer(term, shape)
     dst = out
     for slot in range(rk, t.ndim - 1):
         # -T(..., A X_slot, ...): one batched matmul over the slot's axis, in
@@ -226,6 +252,39 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
     elif dst is out:
         out.fill(0.0)  # derivations vanish on scalars
     return out
+
+
+def _buffer(x: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """A fresh array of ``shape``, or a view of that shape on the head of ``x``."""
+    return np.empty(shape) if x is None else x.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _stacked_slab(ops: np.ndarray, t: np.ndarray, out: np.ndarray | None,
+                  term: np.ndarray | None) -> np.ndarray:
+    """:func:`_action_slab` of the whole (B, m, d, d) stack ``ops`` on the
+    full square of the (B, d, d, d, d) entries ``t``, with each trial's m
+    pairs stacked into one (m d, d) matrix, so that the first slot's term is
+    one matmul a trial, the second's one a (trial, X1) and the third's one a
+    (trial, X1, X2); each has the K = d of the pair-by-pair matmuls, whose
+    sums it repeats up to the sign of a zero (see the module docstring)."""
+    nb, (m, d) = max(len(ops), len(t)), ops.shape[1:3]
+    # -A^T of each pair, so that each term comes out negated: added, it is subtracted
+    neg = np.negative(ops.transpose(0, 1, 3, 2), out=np.empty(ops.shape)).reshape(-1, m * d, d)
+    shape = (nb, m) + t.shape[1:]
+    out, term = _buffer(out, shape), _buffer(term, shape)
+    # -T(A X1, X2, X3, X4), written in place: the pair and X1 axes are the rows
+    np.matmul(neg, t.reshape(len(t), d, -1), out=out.reshape(nb, m * d, -1))
+    # -T(X1, A X2, X3, X4) with the axes (X1, pair, X2, X3, X4), then
+    # -T(X1, X2, A X3, X4) with (X1, X2, pair, X3, X4), each added transposed
+    for slot, axes in ((1, (0, 2, 1, 3, 4, 5)), (2, (0, 3, 1, 2, 4, 5))):
+        lead = d**slot
+        np.matmul(neg[:, None], t.reshape(len(t), lead, d, -1),
+                  out=term.reshape(nb, lead, m * d, -1))
+        spread = term.reshape((nb,) + (d,) * slot + (m,) + (d,) * (4 - slot))
+        np.add(out, spread.transpose(axes), out=out)
+    # -T(X1, X2, X3, A X4), pair by pair
+    np.matmul(t.reshape(len(t), 1, -1, d), ops, out=term.reshape(nb, m, -1, d))
+    return np.subtract(out, term, out=out)
 
 
 def curv_dot(r: CurvatureTensor, t: Tensor | CurvatureTensor) -> Tensor:
@@ -336,9 +395,11 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
     over X1 <= X2 when every target is antisymmetric in its first pair, the
     full square otherwise, and derives the last slot's term from the third's
     when every target is antisymmetric in its second pair (see
-    :func:`_action_slab`).  A value that is not finite is returned, not
-    raised.  Each worker's buffers are kept in ``pool``, when given, for the
-    next call of at most as many buffers and slabs no larger.
+    :func:`_action_slab`); a sweep of one slab stacks each trial's pairs
+    while P d^5 is at most :data:`_STACK_MNK`.  A value that is not finite
+    is returned, not raised.  Each worker's buffers are kept in ``pool``,
+    when given, for the next call of at most as many buffers and slabs no
+    larger.
     """
     trials, d = max(len(x) for x in (*stacks, *targets)), stacks[0].shape[-1]
     if len({ops.shape[1] for ops in stacks}) > 1:
@@ -365,6 +426,7 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
         blas = _BLAS
     else:
         blocks, blas, antisym = ((slice(0, d), slice(0, d)),), None, False
+    stacked = count <= step and count * d**5 <= _STACK_MNK
     workers = min(len(os.sched_getaffinity(0)), 2) if blas else 1
     pool = [] if pool is None else pool
     jobs = []
@@ -407,7 +469,7 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
                     b1, hi = min(b0 + per, trials), min(lo + step, count)
                     slabs = [
                         _action_slab(part(ops, b0, b1), part(t, b0, b1), 0, lo, hi, out, spare[0],
-                                     rows, cols, part(head[id(t)], b0, b1), antisym)
+                                     rows, cols, part(head[id(t)], b0, b1), antisym, stacked)
                         for ops, t, out in zip(stacks, targets, products)
                     ]
                     shape = slabs[0].shape
@@ -491,12 +553,16 @@ def fused_sups(
     return _relation_sups([(check, lhs, rhs, coeffs)], pool)[0]
 
 
-def _relation_sups(rows: Sequence[tuple], pool: list | None = None) -> list[tuple[float, float]]:
+def _relation_sups(rows: Sequence[tuple], pool: list | None = None, stacklevel: int = 4
+                   ) -> list[tuple[float, float]]:
     """The defect and guard of each row ``(check, lhs, rhs, coeffs)``, in
     order, each as :func:`fused_sups` gives them, from one sweep that forms
     each distinct product of all the rows once a slab.  Every row is
     validated before any product, and the first row, in order, with a value
-    that is not finite is the :class:`NumericBreakdownError`."""
+    that is not finite is the :class:`NumericBreakdownError`.  An actor that
+    fails the symmetry check warns at ``stacklevel``, counted from
+    :func:`_checked_operators`; the default names the line that called
+    :func:`fused_sups`."""
     for _, lhs, rhs, coeffs in rows:
         if not lhs:
             raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
@@ -509,7 +575,7 @@ def _relation_sups(rows: Sequence[tuple], pool: list | None = None) -> list[tupl
         raise ValueError("curvature dims do not match")
     ops = {}  # a loop: before Python 3.12 a comprehension is a frame of its own,
     for a in dict.fromkeys(a for a, _ in pairs):  # which the warning would name
-        ops[a] = _checked_operators(a, 4)  # the line that called fused_sups or this
+        ops[a] = _checked_operators(a, stacklevel)
     # a product is an actor's stack on a target's entries, whichever wrappers
     # hold them, and each distinct target has one view, so that _sups forms
     # each product once and gates and copies each target once

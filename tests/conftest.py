@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qch import Tensor, identities, make_space, random_adapted_change
+from qch import HermitianSpace, Tensor, identities, make_space, pullback, random_adapted_change
 
 
 @pytest.fixture
@@ -35,3 +35,21 @@ def noisy_phi(monkeypatch):
         monkeypatch.setattr(identities, "build_phi", noisy)
 
     return corrupt
+
+
+@pytest.fixture
+def gl_frame():
+    """``gl_frame(n)`` is the canonical stage of complex dimension n in the
+    frame q = I + 0.3 N, N a seed-5 standard normal d x d matrix: cond(q) is
+    2.8 at n = 2 and 5.6 at n = 3.  Unlike an adapted frame, q fixes neither
+    g nor J, and the blocks are dense, so using g for g^-1 or J for J^T does
+    not cancel on it."""
+
+    def frame(n):
+        space = make_space(n)
+        d = space.dim
+        q = np.eye(d) + 0.3 * np.random.default_rng(5).standard_normal((d, d))
+        return HermitianSpace(n, q, pullback(space.g, q), pullback(space.J, q),
+                              pullback(space.p_D, q))
+
+    return frame

@@ -1,16 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qch import derivation, identities
 from qch import (
+    CurvatureTensor,
     KahlerSymmetryWarning,
     UsageError,
     QCHCoefficients,
+    Tensor,
     build_phi,
     build_pi,
     build_psi,
+    check_kahler_symmetries,
     combine,
     curv_dot,
     fused_sups,
@@ -270,7 +274,7 @@ def test_a_guard_of_ten_tol_is_vacuous_in_every_guarded_check(monkeypatch, above
     # float above it, both give a finite verdict
     tol = 1e-10
     guard = math.nextafter(10.0 * tol, math.inf) if above else 10.0 * tol
-    monkeypatch.setattr(identities, "_relation_sups", lambda rows, *a: [(0.0, guard)] * len(rows))
+    monkeypatch.setattr(identities, "_relation_sups", lambda rows, *a, **k: [(0.0, guard)] * len(rows))
     monkeypatch.setattr(identities, "pseudosymmetry_sups",
                         lambda space, draws, *a: iter([(0.0, guard)] * len(draws)))
     sp = make_space(2)
@@ -279,6 +283,48 @@ def test_a_guard_of_ten_tol_is_vacuous_in_every_guarded_check(monkeypatch, above
         assert math.isfinite(r.max_defect) == above
         assert r.passed == above
     assert table["table:pi.pi=0"].passed  # an unguarded row has no vacuity
+
+
+def test_a_block_that_fails_the_symmetries_warns_at_the_verifiers_caller(monkeypatch):
+    # Phi with one entry moved by 1.0: the warning of each relation verifier
+    # names the line that called it, as fused_sups' names its caller's
+    real = identities.build_phi
+
+    def lopsided(space):
+        arr = np.array(real(space).tensor.entries)
+        arr[0, 0, 0, 0] += 1.0
+        return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
+
+    monkeypatch.setattr(identities, "build_phi", lopsided)
+    sp = make_space(2)
+    for call in (
+        lambda: verify_multiplication_table(sp),
+        lambda: verify_eq32(sp),
+        lambda: run_suite([2], [0], suite="table"),
+        lambda: fused_sups([(lopsided(sp), build_pi(sp))]),
+    ):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            call()
+        assert record and all(issubclass(w.category, KahlerSymmetryWarning) for w in record)
+        assert {(w.filename, w.lineno) for w in record} == {(__file__, call.__code__.co_firstlineno)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_verifier_passes_on_a_gl_frame(gl_frame, n):
+    # the claims are tensor identities, so they hold in a frame that fixes
+    # neither g nor J; there an index raised with g instead of g^-1, or a J
+    # in place of J^T, no longer cancels.  The worst margin measured is
+    # 2e-4 of the tolerance, in the symmetry check
+    sp = gl_frame(n)
+    assert np.linalg.cond(sp.basis_map) == pytest.approx({2: 2.8, 3: 5.6}[n], abs=0.05)
+    blocks = build_pi(sp), build_phi(sp), build_psi(sp)
+    assert all(np.mean(b.tensor.entries != 0.0) > 0.5 for b in blocks)  # dense
+    assert all(check_kahler_symmetries(b).passed for b in blocks)
+    results = (verify_multiplication_table(sp) + verify_eq32(sp) + [verify_theorem1(sp)]
+               + verify_product_route(sp, 0.7, -1.3))
+    assert len(results) == 15
+    assert [r.name for r in results if not r.passed] == []
 
 
 def test_run_suite_reports_honest_failures_under_noise(noisy_phi):

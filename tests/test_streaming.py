@@ -916,18 +916,19 @@ def test_cli_exit_codes_for_tolerance_and_breakdown(capsys):
 # -- memory ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("pairs_per_slab", [32, 8, 1])
-def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
-    # the product buffers and one term buffer are the only slab-sized arrays,
-    # whether the 28 pairs U < V at d = 8 run as 1, 4 or 28 slabs, and on one
-    # worker or two
-    sp = random_adapted_change(make_space(4), 3)
+def _assert_slabs_allocate_nothing(monkeypatch, n, pairs_per_slab, stacked):
+    """Run theorem1's relation, and one with both sides summed and both
+    scaled, at complex dimension ``n`` with ``pairs_per_slab`` pairs a slab,
+    on 1, 2 and 3 cores: the product buffers and one term buffer must be
+    the only slab-sized arrays, beside the operator stacks and, when the
+    sweep is ``stacked``, its copy of the largest stack and numpy's buffer
+    of its transposed adds (``np.getbufsize()`` values)."""
+    sp = random_adapted_change(make_space(n), 3)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
     d = sp.dim
-    slab = pairs_per_slab * 8 * d**4
-    monkeypatch.setattr(derivation, "SLAB_BYTES", slab)
-    # theorem1's relation, and one with both sides summed and both scaled
+    monkeypatch.setattr(derivation, "SLAB_BYTES", pairs_per_slab * 8 * d**4)
+    slab = min(pairs_per_slab, _upper(d)) * 8 * d**4
     for lhs, rhs, coeffs in [
         ([(r, r)], [(pi, r)], (1.0, 2.0)),
         ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (3.0, 2.0)),
@@ -935,6 +936,9 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
         pairs = lhs + rhs
         operators = {a: derivation._checked_operators(a) for a, _ in pairs}
         assert all(ops.shape == (1, _upper(d), d, d) for ops in operators.values())
+        extra = sum(ops.nbytes for ops in operators.values())
+        if stacked:
+            extra += max(ops.nbytes for ops in operators.values()) + 8 * np.getbufsize()
         for cores in (1, 2, 3):
             _use_cores(monkeypatch, cores)
             tracemalloc.start()
@@ -943,9 +947,21 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            ops_bytes = sum(ops.nbytes for ops in operators.values())
             # a per-slab copy of a slab (np.abs without out=, say) breaks this bound
-            assert peak <= (len(pairs) + 1) * slab + ops_bytes, (len(pairs), cores, peak)
+            assert peak <= (len(pairs) + 1) * slab + extra, (len(pairs), cores, peak)
+
+
+@pytest.mark.parametrize("pairs_per_slab", [32, 8, 1])
+def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
+    # the 28 pairs U < V at d = 8 as 1, 4 or 28 slabs, pair by pair
+    _assert_slabs_allocate_nothing(monkeypatch, 4, pairs_per_slab, False)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_stacked_slab_allocates_nothing_but_its_operators(monkeypatch, n):
+    # the 6 and 15 pairs U < V at d = 4 and 6 as one stacked slab, whose
+    # copy of the operators is P d^2 floats (4.3 kB at d = 6)
+    _assert_slabs_allocate_nothing(monkeypatch, n, 32, True)
 
 
 def test_the_derived_last_slot_allocates_nothing_per_slab(monkeypatch):
@@ -1362,3 +1378,96 @@ def test_a_batch_trial_that_fails_the_symmetries_warns(monkeypatch):
     with pytest.warns(KahlerSymmetryWarning) as record:
         next(sups)
     assert record[0].filename == __file__
+
+
+# -- the stacked pairs of a one-slab sweep -----------------------------------------
+
+
+def _bits(x):
+    """The entries of ``x`` as integers, up to the sign of a zero."""
+    return np.abs(x).view(np.uint64)
+
+
+def _both_slabs(ops, t):
+    """The slab of the whole stack ``ops`` on ``t``, pair by pair and stacked."""
+    count = ops.shape[1]
+    return (derivation._action_slab(ops, t, 0, 0, count),
+            derivation._action_slab(ops, t, 0, 0, count, stacked=True))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("trials", [1, 2, 85])
+def test_the_stacked_slab_equals_the_pair_by_pair_slab(n, trials):
+    # Pi's one-trial stack shared by the B combinations (theorem1's Pi.R),
+    # and the combinations' own stacks of the pairs U < V (R.R) and of all
+    # d^2 pairs, which the sweep stacks only at d = 4
+    sp = random_adapted_change(make_space(n), 6)
+    d = sp.dim
+    a, b, c = np.random.default_rng([n, trials]).uniform(-5.0, 5.0, size=(3, trials))
+    rs = derivation._combination(sp, a, b, c)
+    upper, _, _ = derivation._prepared(sp, rs)
+    full = derivation._operators(sp, rs).reshape(trials, d * d, d, d)
+    for ops in (derivation._checked_operators(build_pi(sp)), upper, full):
+        per_pair, stacked = _both_slabs(ops, rs)
+        assert np.array_equal(_bits(per_pair), _bits(stacked)), ops.shape
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_stacked_slab_equals_the_pair_by_pair_slab_on_a_gl_frame(gl_frame, n):
+    # the blocks are dense there: every product of two blocks
+    sp = gl_frame(n)
+    blocks = build_pi(sp), build_phi(sp), build_psi(sp)
+    for actor, target in itertools.product(blocks, repeat=2):
+        per_pair, stacked = _both_slabs(derivation._checked_operators(actor),
+                                        target.tensor.entries[None])
+        assert np.array_equal(_bits(per_pair), _bits(stacked))
+
+
+def test_a_stack_just_over_the_gate_takes_the_pair_by_pair_path(monkeypatch):
+    # at d = 4 the 6 pairs U < V of theorem1's relation are one slab with
+    # P d^5 = 6144: a gate of 6144 stacks them, one of 6143 does not, and
+    # the sups agree bit for bit.  At the default gate, d = 6 stacks its 15
+    # pairs, but not an actor's 36 (P d^5 = 279936), and d = 8 its 28
+    flags = []
+    _spy_on_slab(monkeypatch, lambda a, slab: flags.append(a.stacked) or slab())
+
+    def relation(n, actor=lambda r: r):
+        sp = random_adapted_change(make_space(n), 3)
+        r = actor(combine(QCHCoefficients(0.7, -1.3, 2.1), sp))
+        flags.clear()
+        sups = derivation.fused_sups([(r, r)], [(build_pi(sp), r)], (1.0, 0.05))
+        return sups, set(flags)
+
+    sups = {}
+    for gate, stacked in [(6144, True), (6143, False)]:
+        with monkeypatch.context() as m:
+            m.setattr(derivation, "_STACK_MNK", gate)
+            sups[stacked], flags_seen = relation(2)
+        assert flags_seen == {stacked}, gate
+    assert sups[True] == sups[False]
+    assert relation(3)[1] == {True}
+    assert relation(3, _one_ulp_off)[1] == {False}
+    assert relation(4)[1] == {False}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_run_suite_sweep_gives_the_pair_by_pair_sups_on_one_and_two_cores(monkeypatch, n):
+    # every sweep of verify all (the grouped rows, theorem1's batches and
+    # the product route's rows), its defects and guards for every trial
+    real = derivation._sups
+    sweeps = []
+    monkeypatch.setattr(derivation, "_sups", lambda *a: sweeps.append(real(*a)) or sweeps[-1])
+
+    default = derivation._STACK_MNK
+
+    def sups(cores, gate):
+        _use_cores(monkeypatch, cores)
+        monkeypatch.setattr(derivation, "_STACK_MNK", gate)
+        sweeps.clear()
+        assert all(r.passed for r in run_suite([n], [0, 1]))
+        return [x.view(np.uint64).tolist() for x in sweeps]
+
+    pair_by_pair = sups(1, 0)
+    assert len(pair_by_pair) == 2 * (1 + math.ceil(100 / _per_batch(2 * n)) + 2)
+    for cores in (1, 2):
+        assert sups(cores, default) == pair_by_pair, cores
