@@ -30,7 +30,9 @@ invariants, each exact bit for bit:
   by both matmuls wherever the last slot's one is above the small-matrix
   cut below (from d = 20 on); there it is not formed, and the third slot's
   term is added transposed instead.  At d = 18, below the cut, the two
-  differ in the last bit.
+  differ in the last bit.  This holds on OpenBLAS's SkylakeX kernel; under
+  Haswell the two differ at d = 22 on both full-width row blocks (those of
+  the square), though not on the triangle's.
 - Two fixed blocks.  A sweep of several slabs forms each product on the two
   blocks of :func:`_blocks`, which depend on d alone; cores decide only
   whether one worker forms both or two form one each.  A sweep of one slab
@@ -51,7 +53,9 @@ invariants, each exact bit for bit:
 - Small-matrix cut.  OpenBLAS (0.3.31) sums some entries of a matmul with
   M N K <= 1e6 otherwise than a larger one's, so a block's entries equal the
   full square's only while each of its matmuls stays on the same side of
-  that cut; the tests pin them at d = 16 and 20.
+  that cut; the tests pin them at d = 16 and 20.  Under Sandybridge the
+  d = 16 full-square eq32 defect that they compare is exactly 0.0 (7.29e-20
+  under SkylakeX and Haswell), so there the pin shows nothing.
 - BLAS pin.  While two workers run, numpy's bundled OpenBLAS is pinned to
   one thread under a module lock and restored when both have joined; where
   its thread control is not found the sweep runs on the calling thread.
@@ -67,7 +71,6 @@ import numbers
 import os
 import threading
 import warnings
-import weakref
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -136,45 +139,29 @@ def _operators(space: HermitianSpace, arr: np.ndarray) -> np.ndarray:
     return np.einsum("aw,...bw->...ab", np.linalg.inv(space.g.entries), arr)
 
 
-def _prepared(space: HermitianSpace, arr: np.ndarray) -> tuple:
-    """The (B, P, d, d) operator stack, the sup norms and the warnings of the
-    (B, d, d, d, d) curvatures ``arr`` on ``space``.  The stack holds the
-    d(d-1)/2 pairs U < V in ``np.triu_indices`` order, formed on those
-    entries alone, when R(V, U) = -R(U, V) bit for bit in the entries of all
-    of them, otherwise all d*d pairs ``U * d + V``; a curvature that fails
-    the Kahler-type symmetries (at 1e-8 scaled) has the text of its warning,
-    any other None.  The symmetry defects are formed first, so their
-    temporaries and the stack are never alive together."""
+def _verdicts(space: HermitianSpace, arr: np.ndarray) -> tuple:
+    """The sup norms of the (B, d, d, d, d) curvatures ``arr`` on ``space``
+    and the text of each one's warning: None unless it fails the Kahler-type
+    symmetries (at 1e-8 scaled)."""
     *defects, size = _symmetry_defects(space, arr)
     _, passed = _kahler_verdict(defects, size, _WARN_TOL)
-    texts = [None if ok else "curvature input fails Kahler-type symmetries "
-             f"(worst defect {max(v[i] for v in defects):.3e})" for i, ok in enumerate(passed)]
+    return size, [None if ok else "curvature input fails Kahler-type symmetries "
+                  f"(worst defect {max(v[i] for v in defects):.3e})" for i, ok in enumerate(passed)]
+
+
+def _prepared(space: HermitianSpace, arr: np.ndarray) -> tuple:
+    """The (B, P, d, d) operator stack of the (B, d, d, d, d) curvatures
+    ``arr`` on ``space``, then their :func:`_verdicts`.  The stack holds the
+    d(d-1)/2 pairs U < V in ``np.triu_indices`` order, formed on those
+    entries alone, when R(V, U) = -R(U, V) bit for bit in the entries of all
+    of them, otherwise all d*d pairs ``U * d + V``.  The symmetry defects
+    are formed first, so their temporaries and the stack are never alive
+    together."""
+    size, texts = _verdicts(space, arr)
     d = space.dim
     if _antisymmetric_in_first_pair(arr):
         return _operators(space, arr[(slice(None), *np.triu_indices(d, 1))]), size, texts
     return _operators(space, arr).reshape(len(arr), d * d, d, d), size, texts
-
-
-# Stage, (1, P, d, d) stack and warning text of each curvature in use,
-# keyed by its entries (immutable, hashed by identity) so that every wrapper
-# of a stage's blocks finds them; the stage is held weakly, as it holds them.
-_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _checked_operators(r: CurvatureTensor, stacklevel: int = 3) -> np.ndarray:
-    """The (1, P, d, d) operator stack of ``r`` (see :func:`_prepared`),
-    warning first, at ``stacklevel``, if ``r`` fails the Kahler-type symmetry
-    check.  Both are computed once per tensor and stage; the warning is
-    repeated on every use.
-    """
-    memo = _OPERATORS.get(r.tensor)
-    if memo is None or memo[0]() is not r.space:
-        ops, _, (text,) = _prepared(r.space, r.tensor.entries[None])
-        _OPERATORS[r.tensor] = memo = (weakref.ref(r.space), ops, text)
-    _, ops, text = memo
-    if text is not None:
-        warnings.warn(text, KahlerSymmetryWarning, stacklevel=stacklevel)
-    return ops
 
 
 def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
@@ -303,7 +290,9 @@ def curv_dot(r: CurvatureTensor, t: Tensor | CurvatureTensor) -> Tensor:
         raise ValueError("tensor dim does not match curvature dim")
     rk, k = t.valence
     d = t.dim
-    _checked_operators(r)  # the symmetry check and its warning
+    (text,) = _verdicts(r.space, r.tensor.entries[None])[1]
+    if text is not None:
+        warnings.warn(text, KahlerSymmetryWarning, stacklevel=2)
     ops = curvature_operators(r).reshape(1, d * d, d, d)
     out = _action_slab(ops, t.entries[None], rk, 0, d * d)[0]
     return Tensor(d, (rk, k + 2), np.moveaxis(out, 0, -1).reshape(t.entries.shape + (d, d)))
@@ -399,7 +388,7 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
     while P d^5 is at most :data:`_STACK_MNK`.  A value that is not finite
     is returned, not raised.  Each worker's buffers are kept in ``pool``,
     when given, for the next call of at most as many buffers and slabs no
-    larger.
+    larger: :func:`pseudosymmetry_sups` passes one through its batches.
     """
     trials, d = max(len(x) for x in (*stacks, *targets)), stacks[0].shape[-1]
     if len({ops.shape[1] for ops in stacks}) > 1:
@@ -525,7 +514,6 @@ def fused_sups(
     rhs: Sequence[tuple[CurvatureTensor, CurvatureTensor]] = (),
     coeffs: tuple[float, float] = (1.0, 1.0),
     check: str = "derivation product",
-    pool: list | None = None,
 ) -> tuple[float, float]:
     """Sup norms of the relation ``c * Sum lhs = e * Sum rhs`` of derivation products.
 
@@ -536,33 +524,31 @@ def fused_sups(
     pairs forms every distinct product once, in a buffer that all slabs
     reuse; a side is summed left to right in its first product's buffer
     (unless the other side reads that product too), then scaled (unless its
-    coefficient is 1.0).  Each actor is symmetry-checked once per tensor and
-    stage and, if it fails, warns once per call.  A caller that passes the
-    same ``pool`` list to several calls lets them share the slab buffers,
-    reallocated only for a call of more buffers or larger slabs than they
-    hold.  This is the one-row case of the grouped sweep by which the
-    verifiers reduce all their rows at once (:func:`_relation_sups`), and
-    its sups equal a grouped row's bit for bit.
+    coefficient is 1.0).  Each distinct actor is symmetry-checked and made
+    into operators once per call and, if it fails the check, warns once,
+    naming the caller's line; nothing is kept from one call to the next.
+    This is the one-row case of the grouped sweep by which the verifiers
+    reduce all their rows at once (:func:`_relation_sups`), and its sups
+    equal a grouped row's bit for bit.
 
     The pair layout, the blocks, the derived last slot and the workers are
-    those of the module docstring, and none changes a bit.  ``coeffs`` that
-    are not two finite real numbers are a ``ValueError``, raised before any
-    product; a reduced value that is not finite is a
-    :class:`NumericBreakdownError` naming ``check``.
+    those of the module docstring, and none changes a bit on the kernels it
+    names.  ``coeffs`` that are not two finite real numbers are a
+    ``ValueError``, raised before any product; a reduced value that is not
+    finite is a :class:`NumericBreakdownError` naming ``check``.
     """
-    return _relation_sups([(check, lhs, rhs, coeffs)], pool)[0]
+    return _relation_sups([(check, lhs, rhs, coeffs)])[0]
 
 
-def _relation_sups(rows: Sequence[tuple], pool: list | None = None, stacklevel: int = 4
-                   ) -> list[tuple[float, float]]:
+def _relation_sups(rows: Sequence[tuple], stacklevel: int = 3) -> list[tuple[float, float]]:
     """The defect and guard of each row ``(check, lhs, rhs, coeffs)``, in
     order, each as :func:`fused_sups` gives them, from one sweep that forms
     each distinct product of all the rows once a slab.  Every row is
     validated before any product, and the first row, in order, with a value
-    that is not finite is the :class:`NumericBreakdownError`.  An actor that
-    fails the symmetry check warns at ``stacklevel``, counted from
-    :func:`_checked_operators`; the default names the line that called
-    :func:`fused_sups`."""
+    that is not finite is the :class:`NumericBreakdownError`.  Each distinct
+    actor, its entries on its stage, is prepared once (:func:`_prepared`),
+    and one that fails the symmetry check warns at ``stacklevel``, counted
+    from here; the default names the line that called :func:`fused_sups`."""
     for _, lhs, rhs, coeffs in rows:
         if not lhs:
             raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
@@ -573,23 +559,30 @@ def _relation_sups(rows: Sequence[tuple], pool: list | None = None, stacklevel: 
     d = pairs[0][1].space.dim
     if any(c.space.dim != d for pair in pairs for c in pair):
         raise ValueError("curvature dims do not match")
+
+    def actor(a):
+        return id(a.tensor.entries), id(a.space)
+
     ops = {}  # a loop: before Python 3.12 a comprehension is a frame of its own,
-    for a in dict.fromkeys(a for a, _ in pairs):  # which the warning would name
-        ops[a] = _checked_operators(a, stacklevel)
+    for a, _ in pairs:  # which the warning would name
+        if actor(a) not in ops:
+            ops[actor(a)], _, (text,) = _prepared(a.space, a.tensor.entries[None])
+            if text is not None:
+                warnings.warn(text, KahlerSymmetryWarning, stacklevel=stacklevel)
     # a product is an actor's stack on a target's entries, whichever wrappers
     # hold them, and each distinct target has one view, so that _sups forms
     # each product once and gates and copies each target once
     views = {id(t.tensor.entries): t.tensor.entries[None] for _, t in pairs}
 
     def key(pair):
-        return id(ops[pair[0]]), id(pair[1].tensor.entries)
+        return actor(pair[0]), id(pair[1].tensor.entries)
 
     products = dict(zip(map(key, pairs), pairs))  # in the order of first use
     index = {k: i for i, k in enumerate(products)}
-    sups = _sups([ops[a] for a, _ in products.values()],
+    sups = _sups([ops[actor(a)] for a, _ in products.values()],
                  [views[id(t.tensor.entries)] for _, t in products.values()],
                  [([index[key(p)] for p in lhs], [index[key(p)] for p in rhs], coeffs)
-                  for _, lhs, rhs, coeffs in rows], pool)[..., 0]
+                  for _, lhs, rhs, coeffs in rows])[..., 0]
     for (check, *_), row in zip(rows, sups):
         if not np.all(np.isfinite(row)):
             raise NumericBreakdownError(_BREAKDOWN.format(check))
@@ -602,8 +595,9 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
     defect and guard ``(sup|R.R - f Pi.R|, sup|R.R|)`` of R = a Pi + b Phi + c Psi.
 
     The trials run in batches of ``SLAB_BYTES // (8 P d^4)`` (at least one),
-    P pairs a stack: each batch prepares its combinations at once and runs
-    one sweep, whose products and sums of each trial are those of
+    P pairs a stack: Pi is prepared once a call, and each batch prepares its
+    combinations at once and runs one sweep, in buffers that every batch
+    reuses, whose products and sums of each trial are those of
     ``fused_sups([(r, r)], [(pi, r)], (1.0, f))`` bit for bit.  ``draws``
     that is not (T, 3), ``factors`` that is not T values and a factor that is
     not finite are a ``ValueError`` when the first trial is asked for, before
@@ -619,10 +613,11 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
                          f"got shapes {draws.shape} and {factors.shape}")
     if not np.all(np.isfinite(factors)):
         raise ValueError("pseudosymmetry factors must be finite")
-    pi = build_pi(space)
-    pi_ops = _checked_operators(pi)
+    pi_ops, _, (text,) = _prepared(space, build_pi(space).tensor.entries[None])
+    if text is not None:
+        warnings.warn(text, KahlerSymmetryWarning, stacklevel=2)  # the loop's line
     per = max(1, SLAB_BYTES // (8 * pi_ops.shape[1] * space.dim**4))
-    pool: list = []  # the sweep buffers, which every batch reuses
+    pool: list = []
     for b0 in range(0, len(draws), per):
         a, b, c = draws[b0:b0 + per].T
         with np.errstate(over="ignore", invalid="ignore"):

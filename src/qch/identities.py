@@ -114,7 +114,7 @@ def _relations(space: HermitianSpace, seed: int, tol: float, rows) -> list[Check
     actor that fails the symmetry check warns naming the line that called
     the verifier or :func:`run_suite` that called this."""
     started = time.perf_counter()
-    sups = iter(_relation_sups(rows, stacklevel=5))
+    sups = iter(_relation_sups(rows, stacklevel=4))
 
     def relation(lhs, rhs):
         defect, guard = next(sups)

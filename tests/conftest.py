@@ -41,9 +41,9 @@ def noisy_phi(monkeypatch):
 def gl_frame():
     """``gl_frame(n)`` is the canonical stage of complex dimension n in the
     frame q = I + 0.3 N, N a seed-5 standard normal d x d matrix: cond(q) is
-    2.8 at n = 2 and 5.6 at n = 3.  Unlike an adapted frame, q fixes neither
-    g nor J, and the blocks are dense, so using g for g^-1 or J for J^T does
-    not cancel on it."""
+    2.8 at n = 2, 5.6 at n = 3, 8.1 at n = 4 and 11.8 at n = 5.  Unlike an
+    adapted frame, q fixes neither g nor J, and the blocks are dense, so
+    using g for g^-1 or J for J^T does not cancel on it."""
 
     def frame(n):
         space = make_space(n)

@@ -99,6 +99,20 @@ def test_operators_match_loop_oracle():
         assert np.allclose(ops[u, v], loop_curvature_operator(arr, ginv, u, v))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_operators_match_loop_oracle_on_a_gl_frame(gl_frame, n):
+    # g is not the identity there, so an index raised with g for g^-1 shows;
+    # every pair, of every block and of a combination
+    sp = gl_frame(n)
+    d, ginv = sp.dim, np.linalg.inv(sp.g.entries)
+    assert not np.allclose(sp.g.entries, np.eye(d), atol=0.1)
+    combo = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
+    for r in (build_pi(sp), build_phi(sp), build_psi(sp), combo):
+        ops, arr = curvature_operators(r), r.tensor.entries
+        oracle = [[loop_curvature_operator(arr, ginv, u, v) for v in range(d)] for u in range(d)]
+        assert np.allclose(ops, oracle, rtol=0.0, atol=1e-13)
+
+
 def test_operators_are_skew_in_their_arguments():
     sp = random_adapted_change(make_space(3), 3)
     ops = curvature_operators(combine(QCHCoefficients(1.0, 2.0, -1.0), sp))

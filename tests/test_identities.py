@@ -255,17 +255,20 @@ def test_theorem1_rejects_a_trial_count_that_is_not_an_integer(trials):
 
 @pytest.mark.parametrize("trials", [1, 3, 10])
 def test_run_suite_checks_each_curvature_once(trials, monkeypatch):
-    # the three shared blocks, one combination per trial and the two
-    # semisymmetric product curvatures; every check is of a batch (one
-    # curvature, or a batch of theorem1's combinations), and each curvature
-    # of a batch is counted
+    # once a call: the three shared blocks by the grouped sweep, Pi again
+    # by theorem1, one combination per trial and the two semisymmetric
+    # product curvatures; every check is of a batch (one curvature, or a
+    # batch of theorem1's combinations), and each curvature of a batch is
+    # counted
     checked = []
     real = derivation._symmetry_defects
     monkeypatch.setattr(derivation, "_symmetry_defects",
                         lambda space, arr: checked.extend(arr) or real(space, arr))
     assert all(r.passed for r in run_suite([2], [0], trials=trials))
-    assert len(checked) == trials + 5
-    assert len({arr.tobytes() for arr in checked}) == len(checked)
+    assert len(checked) == trials + 6
+    assert len({arr.tobytes() for arr in checked}) == trials + 5
+    pi = build_pi(random_adapted_change(make_space(2), 0)).tensor.entries  # seed 0's stage
+    assert [i for i, arr in enumerate(checked) if np.array_equal(arr, pi)] == [0, 3]
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -286,8 +289,8 @@ def test_a_guard_of_ten_tol_is_vacuous_in_every_guarded_check(monkeypatch, above
 
 
 def test_a_block_that_fails_the_symmetries_warns_at_the_verifiers_caller(monkeypatch):
-    # Phi with one entry moved by 1.0: the warning of each relation verifier
-    # names the line that called it, as fused_sups' names its caller's
+    # Phi with one entry moved by 1.0: each relation verifier warns once a
+    # call, naming the line that called it, as fused_sups names its caller's
     real = identities.build_phi
 
     def lopsided(space):
@@ -306,18 +309,18 @@ def test_a_block_that_fails_the_symmetries_warns_at_the_verifiers_caller(monkeyp
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             call()
-        assert record and all(issubclass(w.category, KahlerSymmetryWarning) for w in record)
-        assert {(w.filename, w.lineno) for w in record} == {(__file__, call.__code__.co_firstlineno)}
+        assert len(record) == 1 and issubclass(record[0].category, KahlerSymmetryWarning)
+        assert (record[0].filename, record[0].lineno) == (__file__, call.__code__.co_firstlineno)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_every_verifier_passes_on_a_gl_frame(gl_frame, n):
     # the claims are tensor identities, so they hold in a frame that fixes
     # neither g nor J; there an index raised with g instead of g^-1, or a J
     # in place of J^T, no longer cancels.  The worst margin measured is
-    # 2e-4 of the tolerance, in the symmetry check
+    # 6e-4 of the tolerance, in the symmetry check at n = 5 (5e-4 in theorem1)
     sp = gl_frame(n)
-    assert np.linalg.cond(sp.basis_map) == pytest.approx({2: 2.8, 3: 5.6}[n], abs=0.05)
+    assert np.linalg.cond(sp.basis_map) == pytest.approx({2: 2.8, 3: 5.6, 5: 11.8}[n], abs=0.05)
     blocks = build_pi(sp), build_phi(sp), build_psi(sp)
     assert all(np.mean(b.tensor.entries != 0.0) > 0.5 for b in blocks)  # dense
     assert all(check_kahler_symmetries(b).passed for b in blocks)
@@ -325,6 +328,45 @@ def test_every_verifier_passes_on_a_gl_frame(gl_frame, n):
                + verify_product_route(sp, 0.7, -1.3))
     assert len(results) == 15
     assert [r.name for r in results if not r.passed] == []
+
+
+def _polarization_rows(space, wrong=1.0):
+    """The five coefficients of R.R - (a + b/2) Pi.R for R = a Pi + b Phi + c Psi,
+    as relation rows; each right side's 1/2 is times ``wrong``."""
+    pi, phi, psi = build_pi(space), build_phi(space), build_psi(space)
+    half = 0.5 * wrong
+    return [
+        ("ab", [(phi, pi)], [(pi, pi)], (1.0, half)),
+        ("ac", [(psi, pi)], [], (1.0, 1.0)),
+        ("b2", [(phi, phi)], [(pi, phi)], (1.0, half)),
+        ("bc", [(phi, psi), (psi, phi)], [(pi, psi)], (1.0, half)),
+        ("c2", [(psi, psi)], [], (1.0, 1.0)),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_theorem1_holds_for_every_coefficient_through_five_polarization_rows(gl_frame, n):
+    # R.R - (a + b/2) Pi.R is a quadratic form in (a, b, c) whose a^2
+    # coefficient cancels term by term; the other five vanish, so the
+    # theorem holds for every (a, b, c), not only for random draws.  The ab,
+    # ac and c^2 rows are zero rows (their left sides are products that the
+    # table says vanish, so a guard would trip), checked to tol (1 + |A| |T|)
+    # of their first product A . T (their guards measured at most 1.4e-15);
+    # the b^2 and bc rows are guarded (0.06 to 0.4).  The worst defect
+    # measured is 1.5e-5 of the tolerance, ab at n = 5 on the GL frame.  With
+    # a 1/2 off by 1e-3, both guarded rows fail
+    tol = 1e-10
+    for sp in (random_adapted_change(make_space(n), n), gl_frame(n)):
+        for wrong in (1.0, 1.0 + 1e-3):
+            rows = _polarization_rows(sp, wrong)
+            for (name, lhs, _, _), (defect, guard) in zip(rows, derivation._relation_sups(rows)):
+                actor, target = lhs[0]
+                tolerance = tol * (1.0 + max_abs(actor.tensor) * max_abs(target.tensor))
+                if name in ("b2", "bc"):
+                    assert guard > 10.0 * tol, (name, guard)
+                    assert (defect <= tolerance) == (wrong == 1.0), (name, defect, wrong)
+                else:
+                    assert guard < 1e-14 and defect <= tolerance, (name, defect, guard)
 
 
 def test_run_suite_reports_honest_failures_under_noise(noisy_phi):

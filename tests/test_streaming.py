@@ -127,6 +127,11 @@ def _upper(d):
     return d * (d - 1) // 2
 
 
+def _stack(r):
+    """The (1, P, d, d) operator stack that a sweep prepares for the actor ``r``."""
+    return derivation._prepared(r.space, r.tensor.entries[None])[0]
+
+
 def _sweep_blocks(d, triangle=True):
     """The (row start, row stop, column start) blocks of the products' first
     output pair that a sweep of several slabs forms at dim ``d``, on any
@@ -204,16 +209,16 @@ def test_fused_checks_equal_the_dense_products(monkeypatch, budget, slabs):
 
 
 def _force_all_pairs(monkeypatch):
-    """Make every actor's stack the d*d pairs, as for an actor that fails the
-    antisymmetry gate; the symmetry check and its warning still run."""
-    real = derivation._checked_operators
+    """Make every prepared stack the d*d pairs, as for curvatures that fail
+    the antisymmetry gate; the symmetry check and its warning still run."""
+    real = derivation._prepared
 
-    def all_pairs(r, *stacklevel):
-        real(r, *stacklevel)
-        d = r.space.dim
-        return derivation.curvature_operators(r).reshape(1, d * d, d, d)
+    def all_pairs(space, arr):
+        _, size, texts = real(space, arr)
+        d = space.dim
+        return derivation._operators(space, arr).reshape(len(arr), d * d, d, d), size, texts
 
-    monkeypatch.setattr(derivation, "_checked_operators", all_pairs)
+    monkeypatch.setattr(derivation, "_prepared", all_pairs)
 
 
 def _record_stacks(monkeypatch):
@@ -263,8 +268,8 @@ def test_an_actor_one_ulp_from_antisymmetric_runs_every_pair(monkeypatch):
     pi = build_pi(sp)
     off = _one_ulp_off(pi)
     assert check_kahler_symmetries(off, tol=1e-8).passed  # so no warning either
-    assert derivation._checked_operators(pi).shape[1] == _upper(d)
-    assert derivation._checked_operators(off).shape[1] == d * d
+    assert _stack(pi).shape[1] == _upper(d)
+    assert _stack(off).shape[1] == d * d
     dense_pi, dense_off = max_abs(curv_dot(pi, off)), max_abs(curv_dot(off, off))
     dense_diff = max_abs(curv_dot(pi, off) - curv_dot(off, off))
     seen = _record_stacks(monkeypatch)
@@ -307,7 +312,7 @@ def test_the_all_pairs_expansion_equals_the_all_pairs_operators(n):
                   combine(QCHCoefficients(-2.4, 0.3, 1.9), sp),
                   product_curvature(k, l, sp), product_curvature(k, -k, sp)]
     for r in curvatures:
-        upper = derivation._checked_operators(r)
+        upper = _stack(r)
         assert upper.shape == (1, _upper(d), d, d)
         dense = derivation.curvature_operators(r).reshape(1, d * d, d, d)
         assert np.array_equal(derivation._all_pairs(upper), dense)
@@ -452,7 +457,7 @@ def test_the_blocks_form_the_full_squares_entries_and_the_mirror_is_exact(n):
     sp = random_adapted_change(make_space(n), 9)
     d = sp.dim
     r = combine(QCHCoefficients(1.3, -0.6, 2.2), sp)
-    ops, t = derivation._checked_operators(r), r.tensor.entries[None]
+    ops, t = _stack(r), r.tensor.entries[None]
     for lo in (0, 77, _upper(d) - 1):
         square = _square_by_slot(ops[0, lo], t[0])[None, None]
         assert np.array_equal(derivation._action_slab(ops, t, 0, lo, lo + 1), square)
@@ -473,7 +478,7 @@ def test_the_derived_last_slot_equals_the_four_slot_product_bit_for_bit(n):
     d = sp.dim
     rs = derivation._combination(sp, np.array([0.7, -2.4]), np.array([-1.3, 0.3]),
                                  np.array([2.1, 1.9]))
-    stacks = [(derivation._checked_operators(r), r.tensor.entries[None])
+    stacks = [(_stack(r), r.tensor.entries[None])
               for r in (build_pi(sp), build_phi(sp), build_psi(sp))]
     stacks.append((derivation._prepared(sp, rs)[0], rs))
     blocks = derivation._blocks(d, True) + derivation._blocks(d, False)
@@ -532,7 +537,7 @@ def test_a_target_one_ulp_from_antisymmetric_in_its_second_pair_forms_four_slots
         return slab()
 
     _spy_on_slab(monkeypatch, recording)
-    ops = derivation._checked_operators(pi)[0]
+    ops = _stack(pi)[0]
     assert len(ops) == _upper(d)
     dense = max(np.max(np.abs(_square_by_slot(op, t))) for op in ops)
     assert derivation.fused_sups([(pi, off)]) == (dense, dense)
@@ -713,18 +718,18 @@ def _dense_sum(pairs):
     return total
 
 
-# 8 * d**4 bytes hold one pair of a product at dim d
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("pairs_per_slab", [None, 1, 4, 5])
-def test_relations_equal_the_dense_oracle(monkeypatch, n, pairs_per_slab):
-    sp = random_adapted_change(make_space(n), 6)
+def _assert_relations_equal_the_dense_oracle(monkeypatch, sp, pairs_per_slab):
+    """24 random relations among the blocks, a combination and that
+    combination one ulp off, on ``sp`` with ``pairs_per_slab`` pairs a slab
+    (8 * d**4 bytes hold one pair of a product at dim d): each equals the
+    dense products' sups."""
     d = sp.dim
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     combo = combine(QCHCoefficients(0.8, -1.7, 0.6), sp)
     pool = [pi, phi, psi, combo, _one_ulp_off(combo)]
     if pairs_per_slab is not None:
         monkeypatch.setattr(derivation, "SLAB_BYTES", pairs_per_slab * 8 * d**4)
-    rng = np.random.default_rng([n, pairs_per_slab or 0])
+    rng = np.random.default_rng([sp.n, pairs_per_slab or 0])
 
     def draw_side():
         return [tuple(pool[i] for i in rng.integers(len(pool), size=2))
@@ -737,6 +742,19 @@ def test_relations_equal_the_dense_oracle(monkeypatch, n, pairs_per_slab):
         defect = left - e * _dense_sum(rhs) if rhs else left
         assert derivation.fused_sups(lhs, rhs, (c, e)) == (max_abs(defect), max_abs(left)), (
             trial, c, e)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("pairs_per_slab", [None, 1, 4, 5])
+def test_relations_equal_the_dense_oracle(monkeypatch, n, pairs_per_slab):
+    _assert_relations_equal_the_dense_oracle(
+        monkeypatch, random_adapted_change(make_space(n), 6), pairs_per_slab)
+
+
+@pytest.mark.parametrize("n,pairs_per_slab", [(2, None), (2, 1), (3, None), (3, 4), (5, None)])
+def test_relations_equal_the_dense_oracle_on_a_gl_frame(monkeypatch, gl_frame, n, pairs_per_slab):
+    # dense blocks; at d = 10 the default budget runs several slabs on the two blocks
+    _assert_relations_equal_the_dense_oracle(monkeypatch, gl_frame(n), pairs_per_slab)
 
 
 def test_a_relation_needs_a_left_side_on_one_stage():
@@ -758,6 +776,23 @@ def test_the_pseudosymmetry_relation_sups_equal_the_dense_values(monkeypatch):
     assert derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 3.0)) == dense
 
 
+def _record_prepared(monkeypatch):
+    """Map the id of every stack that ``derivation._prepared`` returns to the
+    id of the base of the curvatures it was given (a lone curvature's
+    entries), keeping each stack alive so that no id is reused."""
+    owners, kept = {}, []
+    real = derivation._prepared
+
+    def recording(space, arr):
+        out = real(space, arr)
+        kept.append(out[0])
+        owners[id(out[0])] = id(arr.base)
+        return out
+
+    monkeypatch.setattr(derivation, "_prepared", recording)
+    return owners
+
+
 def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatch):
     sp = make_space(2)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
@@ -765,19 +800,20 @@ def test_each_product_slab_is_formed_once_and_each_actor_checked_once(monkeypatc
     slabs = []
 
     def counting_slab(a, slab):
-        # a relation's products are one trial: its stack, and a view of its target
-        slabs.append((id(a.ops), id(a.t.base), a.lo, a.hi, *_block_key(a.rows, a.cols)))
+        # a relation's products are one trial: its actor's stack, and a view of its target
+        slabs.append((owners[id(a.ops)], id(a.t.base), a.lo, a.hi, *_block_key(a.rows, a.cols)))
         return slab()
 
     _spy_on_slab(monkeypatch, counting_slab)
     checks = _count_checks(monkeypatch)
+    owners = _record_prepared(monkeypatch)
     monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 4**4)
     products = [(psi, pi), (pi, psi), (phi, psi), (psi, phi)]
     derivation.fused_sups(products[:2], products[2:], (1.0, 2.0))
     # every product of every (slab, block) once; the two workers' slabs interleave
     blocks = _sweep_blocks(4)
     assert sorted(slabs) == sorted(
-        (id(derivation._checked_operators(a)), id(t.tensor.entries), lo, hi, *block)
+        (id(a.tensor.entries), id(t.tensor.entries), lo, hi, *block)
         for a, t in products for lo, hi in [(0, 4), (4, 6)] for block in blocks
     )
     assert [id(arr.base) for arr in checks] == [id(r.tensor.entries) for r in (psi, pi, phi)]
@@ -807,13 +843,14 @@ def test_a_failing_curvature_warns_on_every_use(monkeypatch):
     sp = make_space(2)
     arr = np.array(build_pi(sp).tensor.entries)
     arr[0, 0, 0, 0] += 1.0
-    lopsided = CurvatureTensor(Tensor(4, (0, 4), arr), sp)
+    lopsided, pi = CurvatureTensor(Tensor(4, (0, 4), arr), sp), build_pi(sp)
     checks = _count_checks(monkeypatch)
-    for _ in range(3):
+    for _ in range(3):  # nothing is kept between calls: each checks and warns again
         with pytest.warns(KahlerSymmetryWarning) as record:
-            derivation.fused_sups([(lopsided, lopsided)])
+            derivation.fused_sups([(lopsided, lopsided), (lopsided, pi)])
+        assert len(record) == 1  # once a call, however often the actor acts
         assert record[0].filename == __file__  # the caller's line, not the library's
-    assert [id(arr.base) for arr in checks] == [id(lopsided.tensor.entries)]
+    assert [id(arr.base) for arr in checks] == [id(lopsided.tensor.entries)] * 3
 
 
 # -- fault injection -----------------------------------------------------------
@@ -916,29 +953,41 @@ def test_cli_exit_codes_for_tolerance_and_breakdown(capsys):
 # -- memory ----------------------------------------------------------------------
 
 
+def _prepare_beforehand(monkeypatch, actors):
+    """Prepare the stack of each of ``actors`` now, and have the sweep's
+    preparation of that actor return it, so that a traced call's peak holds
+    no preparation; the stacks, by actor."""
+    real = derivation._prepared
+    prepared = {id(a.tensor.entries): real(a.space, a.tensor.entries[None]) for a in actors}
+    monkeypatch.setattr(derivation, "_prepared", lambda space, arr: prepared[id(arr.base)])
+    return {a: prepared[id(a.tensor.entries)][0] for a in actors}
+
+
 def _assert_slabs_allocate_nothing(monkeypatch, n, pairs_per_slab, stacked):
     """Run theorem1's relation, and one with both sides summed and both
     scaled, at complex dimension ``n`` with ``pairs_per_slab`` pairs a slab,
     on 1, 2 and 3 cores: the product buffers and one term buffer must be
-    the only slab-sized arrays, beside the operator stacks and, when the
-    sweep is ``stacked``, its copy of the largest stack and numpy's buffer
-    of its transposed adds (``np.getbufsize()`` values)."""
+    the only slab-sized arrays, beside the operator stacks (prepared before
+    tracing) and, when the sweep is ``stacked``, its copy of the largest
+    stack and numpy's buffer of its transposed adds (``np.getbufsize()``
+    values)."""
     sp = random_adapted_change(make_space(n), 3)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
     d = sp.dim
     monkeypatch.setattr(derivation, "SLAB_BYTES", pairs_per_slab * 8 * d**4)
     slab = min(pairs_per_slab, _upper(d)) * 8 * d**4
+    operators = _prepare_beforehand(monkeypatch, [pi, phi, psi, r])
+    assert all(ops.shape == (1, _upper(d), d, d) for ops in operators.values())
     for lhs, rhs, coeffs in [
         ([(r, r)], [(pi, r)], (1.0, 2.0)),
         ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (3.0, 2.0)),
     ]:
         pairs = lhs + rhs
-        operators = {a: derivation._checked_operators(a) for a, _ in pairs}
-        assert all(ops.shape == (1, _upper(d), d, d) for ops in operators.values())
-        extra = sum(ops.nbytes for ops in operators.values())
+        stacks = [operators[a] for a in dict.fromkeys(a for a, _ in pairs)]
+        extra = sum(ops.nbytes for ops in stacks)
         if stacked:
-            extra += max(ops.nbytes for ops in operators.values()) + 8 * np.getbufsize()
+            extra += max(ops.nbytes for ops in stacks) + 8 * np.getbufsize()
         for cores in (1, 2, 3):
             _use_cores(monkeypatch, cores)
             tracemalloc.start()
@@ -957,6 +1006,7 @@ def test_fused_sups_allocates_nothing_per_slab(monkeypatch, pairs_per_slab):
     _assert_slabs_allocate_nothing(monkeypatch, 4, pairs_per_slab, False)
 
 
+@pytest.mark.stacked_pairs
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_stacked_slab_allocates_nothing_but_its_operators(monkeypatch, n):
     # the 6 and 15 pairs U < V at d = 4 and 6 as one stacked slab, whose
@@ -975,7 +1025,7 @@ def test_the_derived_last_slot_allocates_nothing_per_slab(monkeypatch):
     slab = 8 * d**4
     monkeypatch.setattr(derivation, "SLAB_BYTES", slab)
     pairs = [(r, r), (pi, r)]
-    operators = {a: derivation._checked_operators(a) for a, _ in pairs}
+    operators = _prepare_beforehand(monkeypatch, [r, pi])
     flags = set()
     _spy_on_slab(monkeypatch, lambda a, slab: flags.add(a.antisym) or slab())
     for cores in (1, 2):
@@ -993,9 +1043,10 @@ def test_the_derived_last_slot_allocates_nothing_per_slab(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_one_pool_through_rows_of_one_two_and_four_products_gives_fresh_sups(n):
-    # buffers kept for fewer products are not reused as they are: a row of
-    # four products after one of two would otherwise drop two products; one
-    # slab at d = 4, pair slabs on every worker at d = 10
+    # the sweep's pool, passed through sweeps of one, two and four products:
+    # buffers kept for fewer products are not reused as they are, or a row
+    # of four products after one of two would drop two products; one slab
+    # at d = 4, pair slabs on every worker at d = 10
     sp = random_adapted_change(make_space(n), 4)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     rows = [
@@ -1003,11 +1054,18 @@ def test_one_pool_through_rows_of_one_two_and_four_products_gives_fresh_sups(n):
         ([(pi, phi)], [(phi, phi)], (1.0, 2.0)),
         ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0)),
     ]
-    fresh = [derivation.fused_sups(*row) for row in rows]
+
+    def sweep(lhs, rhs, coeffs, pool=None):
+        pairs = lhs + rhs
+        split = (list(range(len(lhs))), list(range(len(lhs), len(pairs))), coeffs)
+        stacks, targets = [_stack(a) for a, _ in pairs], [t.tensor.entries[None] for _, t in pairs]
+        return derivation._sups(stacks, targets, [split], pool)[..., 0].tolist()
+
+    fresh = [sweep(*row) for row in rows]
+    assert [row[0] for row in fresh] == [list(derivation.fused_sups(*row)) for row in rows]
     for order in ([0, 1, 2, 1, 0], [2, 1, 0, 2]):
         pool: list = []
-        assert [derivation.fused_sups(*rows[i], "row", pool) for i in order] == [
-            fresh[i] for i in order]
+        assert [sweep(*rows[i], pool) for i in order] == [fresh[i] for i in order]
 
 
 def _record_sweeps(monkeypatch):
@@ -1063,16 +1121,16 @@ def test_grouped_rows_equal_their_lone_sweeps_bit_for_bit(monkeypatch, n):
 def test_each_block_product_is_formed_once_per_slab_and_block(monkeypatch, n):
     # one slab and the full square at d = 4; at d = 10 five slabs of pairs on
     # the two blocks over X1 <= X2, one a worker; each of the three distinct
-    # targets is gated and copied once a block, not once a product
+    # actors is prepared, and gated, once a sweep, and each of the three
+    # distinct targets is gated and copied once a block, not once a product
     sp = random_adapted_change(make_space(n), 2)
     d = sp.dim
     _use_cores(monkeypatch, 2)
     monkeypatch.setattr(identities, "random_adapted_change", lambda space, seed: sp)
-    verify_eq32(sp)  # the stage's actors are prepared, and gated, once
     blocks = _sweep_blocks(d) if n > 2 else [(0, d, 0)]
     step = min(_upper(d), derivation.SLAB_BYTES // (8 * d**4))
     named = {"pi": build_pi(sp), "phi": build_phi(sp), "psi": build_psi(sp)}
-    stacks = {id(derivation._checked_operators(r)): name for name, r in named.items()}
+    owners = _record_prepared(monkeypatch)
     entries = {id(r.tensor.entries): name for name, r in named.items()}
     gated, heads, formed = [], {}, []
     real_gate = derivation._antisymmetric_in_first_pair
@@ -1083,9 +1141,9 @@ def test_each_block_product_is_formed_once_per_slab_and_block(monkeypatch, n):
 
     def recording(a, slab):
         heads[id(a.head)] = a.head  # kept alive, so that no id is reused
-        if id(a.ops) in stacks and id(a.t.base) in entries:
-            formed.append((stacks[id(a.ops)], entries[id(a.t.base)], a.lo, a.hi,
-                           *_block_key(a.rows, a.cols)))
+        actor, target = entries.get(owners.get(id(a.ops))), entries.get(id(a.t.base))
+        if actor and target:
+            formed.append((actor, target, a.lo, a.hi, *_block_key(a.rows, a.cols)))
         return slab()
 
     monkeypatch.setattr(derivation, "_antisymmetric_in_first_pair", gate)
@@ -1099,7 +1157,7 @@ def test_each_block_product_is_formed_once_per_slab_and_block(monkeypatch, n):
             (*product, lo, hi, *block) for product in products
             for lo, hi in _pairs(_upper(d), step) for block in blocks), suite
         if suite != "all":  # theorem1's batch and the product route gate their own
-            assert len(gated) == (3 if n > 2 else 0)
+            assert len(gated) == 3 + (3 if n > 2 else 0)
             assert len(heads) == 3 * len(blocks)
 
 
@@ -1145,7 +1203,7 @@ def test_the_upper_pair_stack_equals_the_dense_operators_bit_for_bit(n):
     k, l = np.random.default_rng(n).uniform(-2.0, 2.0, size=2)
     for r in (build_pi(sp), build_phi(sp), build_psi(sp),
               product_curvature(k, l, sp), product_curvature(k, -k, sp)):
-        stack = derivation._checked_operators(r)
+        stack = _stack(r)
         assert stack.shape == (1, _upper(d), d, d)
         assert np.array_equal(bits(stack[0]), bits(derivation.curvature_operators(r)[upper]))
     a, b, c = np.random.default_rng([n, 1]).uniform(-5.0, 5.0, size=(3, 4))
@@ -1248,16 +1306,16 @@ def test_worker_counts_and_the_full_square_agree_across_the_small_matrix_cut(mon
         ([(r, r)], [(pi, r)], (1.0, 1.3 - 0.3)),
         ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (1.0, 2.0)),
     ]
-    # the actors' stacks of pairs U < V, memoised before the gate is forced
-    assert all(derivation._checked_operators(a).shape[1] == _upper(16) for a in (pi, phi, psi, r))
+    assert all(_stack(a).shape[1] == _upper(16) for a in (pi, phi, psi, r))  # pairs U < V
+    real_blocks = derivation._blocks
 
     def sups(cores, triangle, whole=False):
         _use_cores(monkeypatch, cores)
         with monkeypatch.context() as m:
-            if not triangle:  # as for targets that fail the first-pair gate
-                m.setattr(derivation, "_antisymmetric_in_first_pair", lambda t: False)
             if whole:  # the full square as one block
                 m.setattr(derivation, "_blocks", lambda d, triangle: ((slice(0, d),) * 2,))
+            elif not triangle:  # the two row blocks, as for targets that fail the first-pair gate
+                m.setattr(derivation, "_blocks", lambda d, triangle: real_blocks(d, False))
             return [derivation.fused_sups(*rel) for rel in relations]
 
     square = sups(1, False, whole=True)
@@ -1395,6 +1453,7 @@ def _both_slabs(ops, t):
             derivation._action_slab(ops, t, 0, 0, count, stacked=True))
 
 
+@pytest.mark.stacked_pairs
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("trials", [1, 2, 85])
 def test_the_stacked_slab_equals_the_pair_by_pair_slab(n, trials):
@@ -1407,22 +1466,23 @@ def test_the_stacked_slab_equals_the_pair_by_pair_slab(n, trials):
     rs = derivation._combination(sp, a, b, c)
     upper, _, _ = derivation._prepared(sp, rs)
     full = derivation._operators(sp, rs).reshape(trials, d * d, d, d)
-    for ops in (derivation._checked_operators(build_pi(sp)), upper, full):
+    for ops in (_stack(build_pi(sp)), upper, full):
         per_pair, stacked = _both_slabs(ops, rs)
         assert np.array_equal(_bits(per_pair), _bits(stacked)), ops.shape
 
 
+@pytest.mark.stacked_pairs
 @pytest.mark.parametrize("n", [2, 3])
 def test_the_stacked_slab_equals_the_pair_by_pair_slab_on_a_gl_frame(gl_frame, n):
     # the blocks are dense there: every product of two blocks
     sp = gl_frame(n)
     blocks = build_pi(sp), build_phi(sp), build_psi(sp)
     for actor, target in itertools.product(blocks, repeat=2):
-        per_pair, stacked = _both_slabs(derivation._checked_operators(actor),
-                                        target.tensor.entries[None])
+        per_pair, stacked = _both_slabs(_stack(actor), target.tensor.entries[None])
         assert np.array_equal(_bits(per_pair), _bits(stacked))
 
 
+@pytest.mark.stacked_pairs
 def test_a_stack_just_over_the_gate_takes_the_pair_by_pair_path(monkeypatch):
     # at d = 4 the 6 pairs U < V of theorem1's relation are one slab with
     # P d^5 = 6144: a gate of 6144 stacks them, one of 6143 does not, and
@@ -1450,6 +1510,7 @@ def test_a_stack_just_over_the_gate_takes_the_pair_by_pair_path(monkeypatch):
     assert relation(4)[1] == {False}
 
 
+@pytest.mark.stacked_pairs
 @pytest.mark.parametrize("n", [2, 3])
 def test_every_run_suite_sweep_gives_the_pair_by_pair_sups_on_one_and_two_cores(monkeypatch, n):
     # every sweep of verify all (the grouped rows, theorem1's batches and
