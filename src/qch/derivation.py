@@ -21,6 +21,8 @@ invariants, each exact bit for bit:
 - Grouped rows.  A sweep reduces several relations at once: each slab forms
   each distinct product once, and each relation sums and reduces it as a
   sweep of its own would, so a row's sups equal those of its lone sweep.
+- Trial batches.  Each trial's matmuls have the shapes of a lone trial's,
+  so a batch's sups equal those of one sweep per trial.
 - X1 <= X2 mirror.  When every target is antisymmetric in its first output
   pair bit for bit, each slot's term at (X2, X1) sums the negated terms at
   (X1, X2) in the same order, so a sweep's sups are reached on X1 <= X2.
@@ -69,6 +71,7 @@ import itertools
 import math
 import numbers
 import os
+import sys
 import threading
 import warnings
 from typing import Iterator, Sequence
@@ -107,6 +110,21 @@ _STACK_MNK = 2 * 10**5
 
 class KahlerSymmetryWarning(UserWarning):
     """Curvature input strays from the Kahler-type symmetries."""
+
+
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
+def _warn(text: str | None) -> None:
+    """Warn ``text`` as a :class:`KahlerSymmetryWarning` at the first frame
+    whose file is not in this package, as Python 3.12's ``skip_file_prefixes``
+    does; nothing, and no frame walked, when ``text`` is None."""
+    if text is None:
+        return
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(text, KahlerSymmetryWarning, stacklevel=level)
 
 
 _BREAKDOWN = "numeric breakdown in {}: a derivation product is not finite"
@@ -173,27 +191,19 @@ def _action_slab(ops: np.ndarray, t: np.ndarray, rk: int, lo: int, hi: int,
     stack, restricted to the ``rows`` of the first slot of ``t`` and, for a
     tensor of two or more slots, the ``cols`` of its second.
 
-    ``ops`` is a (B, P, d, d) stack of curvature operators, one (P, d, d)
-    stack per trial, and ``t`` the (B, ...) entries of each trial's tensor
-    with ``rk`` output slots; either may hold one trial that all share.  The
-    result has the trial axis first, then the pair axis (``hi - lo`` pairs),
-    then the slots of ``t``, the first two cut to ``rows`` and ``cols``.
-    ``head`` is ``t[:, rows, cols]``, contiguous, when the caller keeps it
-    across slabs; each later slot's term is then one matmul over it.  Each
-    trial's matmuls have the shapes of a single trial's, so batching trials
-    changes no bit.  The result is written into ``out`` and each slot's term
-    into ``term`` when they are given (contiguous arrays of at least the
-    result's size), so a caller that keeps both across slabs allocates
-    nothing per slab but numpy's buffer of the transposed add below
-    (``np.getbufsize()`` values, freed when it returns) and, when
-    ``stacked``, the stacked operators.  ``antisym`` says
-    that each trial's tensor is (0,4) and antisymmetric in its last two
-    slots bit for bit; where the last slot's matmul is above
-    :data:`_SMALL_MNK`, its term is then not formed, and the third slot's is
-    added transposed (see the module docstring).  ``stacked`` says that
-    each trial's tensor is (0,4) and ``rows`` and ``cols`` are the full
-    square: the slab is then formed with each trial's pairs stacked
-    (:func:`_stacked_slab`), equal bit for bit but for the sign of a zero.
+    ``ops`` is a (B, P, d, d) operator stack and ``t`` the (B, ...) entries
+    of each trial's tensor with ``rk`` output slots; either may hold one
+    trial that all share.  The result's axes are the trial, the pair
+    (``hi - lo`` of them), then the slots of ``t``, the first two cut to
+    ``rows`` and ``cols``.  ``head``, when given, is ``t[:, rows, cols]``,
+    contiguous.  The result is written into ``out`` and each slot's term
+    into ``term`` when they are given (contiguous, at least the result's
+    size); nothing else is allocated then but numpy's buffer of a
+    transposed add and, when ``stacked``, the stacked operators.
+    ``antisym`` says that each trial's tensor is (0,4) and antisymmetric in
+    its last two slots bit for bit, and ``stacked`` that it is (0,4) and
+    ``rows`` and ``cols`` are the full square; the module docstring gives
+    the layout that each selects.
     """
     d = ops.shape[-1]
     ops = ops[:, lo:hi]
@@ -290,9 +300,7 @@ def curv_dot(r: CurvatureTensor, t: Tensor | CurvatureTensor) -> Tensor:
         raise ValueError("tensor dim does not match curvature dim")
     rk, k = t.valence
     d = t.dim
-    (text,) = _verdicts(r.space, r.tensor.entries[None])[1]
-    if text is not None:
-        warnings.warn(text, KahlerSymmetryWarning, stacklevel=2)
+    _warn(_verdicts(r.space, r.tensor.entries[None])[1][0])
     ops = curvature_operators(r).reshape(1, d * d, d, d)
     out = _action_slab(ops, t.entries[None], rk, 0, d * d)[0]
     return Tensor(d, (rk, k + 2), np.moveaxis(out, 0, -1).reshape(t.entries.shape + (d, d)))
@@ -372,23 +380,15 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
     (B, d, d, d, d) entries ``targets[i]``, either of which may hold one
     trial that all B share; ``lhs`` and ``rhs`` list product indices, and
     ``e`` may be one float per trial.  Each slab forms each product once and
-    reduces every row from it, in order.  A side is summed left to right,
-    then scaled unless its coefficient is 1.0: in its first product's buffer
-    when that product is read nowhere else from its row on, otherwise in a
-    spare buffer, and a lone product of coefficient 1.0 on the left is read
-    where it is, its sup being ``|max(max x, -min x)|``.  The sups run in
-    ``np.maximum`` from +0.0, so a NaN stays (Python's ``max(0.0, nan)`` is
-    0.0), and each slab's sup is an abs, never -0.0.  When the stacks' pair
-    counts disagree, each stack of the pairs U < V is expanded to all
-    pairs.  A sweep of several slabs forms only the blocks
-    over X1 <= X2 when every target is antisymmetric in its first pair, the
-    full square otherwise, and derives the last slot's term from the third's
-    when every target is antisymmetric in its second pair (see
-    :func:`_action_slab`); a sweep of one slab stacks each trial's pairs
-    while P d^5 is at most :data:`_STACK_MNK`.  A value that is not finite
-    is returned, not raised.  Each worker's buffers are kept in ``pool``,
-    when given, for the next call of at most as many buffers and slabs no
-    larger: :func:`pseudosymmetry_sups` passes one through its batches.
+    reduces every row from it, in order: a side is summed left to right,
+    then scaled unless its coefficient is 1.0, in the buffer that the row
+    plan gives it, and each trial's sup of a slab is
+    ``|max(max x, -min x)|``, which writes nothing, keeps a NaN and is never
+    -0.0.  A value that is not finite is returned, not raised.  The pair
+    layout, blocks, workers and slot kernels are those of the module
+    docstring.  Each worker's buffers are kept in ``pool``, when given, for
+    the next call of at most as many buffers and slabs no larger:
+    :func:`pseudosymmetry_sups` passes one through its batches.
     """
     trials, d = max(len(x) for x in (*stacks, *targets)), stacks[0].shape[-1]
     if len({ops.shape[1] for ops in stacks}) > 1:
@@ -408,10 +408,10 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
     # ranges of at most SLAB_BYTES a product; a pair holds d^4 entries
     per = min(trials, max(1, SLAB_BYTES // (8 * count * d**4 * (len(stacks) + spares))))
     step = min(count, max(1, SLAB_BYTES // (8 * d**4)))
+    distinct = {id(t): t for t in targets}
     if count > step:
-        distinct = {id(t): t for t in targets}.values()
-        blocks = _blocks(d, all(_antisymmetric_in_first_pair(t) for t in distinct))
-        antisym = all(np.array_equal(t, -t.swapaxes(3, 4)) for t in distinct)
+        blocks = _blocks(d, all(_antisymmetric_in_first_pair(t) for t in distinct.values()))
+        antisym = all(np.array_equal(t, -t.swapaxes(3, 4)) for t in distinct.values())
         blas = _BLAS
     else:
         blocks, blas, antisym = ((slice(0, d), slice(0, d)),), None, False
@@ -427,7 +427,7 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
             pool[w] = [np.empty(size) for _ in range(len(stacks) + spares)]
         # each target's block, contiguous, so that its last slots' terms are
         # one matmul of the block's shape; made here, on the calling thread
-        heads = [{id(t): np.ascontiguousarray(t[:, rows, cols]) for t in targets}
+        heads = [{k: np.ascontiguousarray(t[:, rows, cols]) for k, t in distinct.items()}
                  for rows, cols in mine]
         jobs.append((mine, heads, pool[w]))
     stop = threading.Event() if workers > 1 else None
@@ -443,10 +443,9 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
         products, spare = buffers[:len(stacks)], buffers[len(stacks):]
         sups = np.zeros((len(plan), 2, trials))
 
-        def reduce(sup, x, writable):
+        def reduce(sup, x):
             x = x.reshape(b1 - b0, -1)
-            worst = (np.max(np.abs(x, out=x), axis=1) if writable  # abs: no -0.0, as below
-                     else np.abs(np.maximum(np.max(x, axis=1), -np.min(x, axis=1))))
+            worst = np.abs(np.maximum(np.max(x, axis=1), -np.min(x, axis=1)))
             np.maximum(sup[:, b0:b1], worst, out=sup[:, b0:b1])
 
         # a product that overflows gives a sup that is not finite
@@ -472,9 +471,9 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
                             right = [slabs[i] for i in rhs]
                             into = right[0] if own_r else next(free)
                             np.subtract(total, _weighted_sum(right, part(e, b0, b1), into), out=into)
-                            reduce(sup[:1], into, True)
+                            reduce(sup[:1], into)
                             sup = sup[1:]
-                        reduce(sup, total, out is not None)
+                        reduce(sup, total)
         return sups
 
     if workers == 1:
@@ -520,35 +519,25 @@ def fused_sups(
     ``lhs`` and ``rhs`` (which may be empty) list ``(actor, target)`` pairs,
     each standing for the product ``actor . target``, and ``coeffs`` is
     ``(c, e)``.  Returns the defect and the guard,
-    ``(sup|c Sum lhs - e Sum rhs|, sup|c Sum lhs|)``.  Each slab of (U, V)
-    pairs forms every distinct product once, in a buffer that all slabs
-    reuse; a side is summed left to right in its first product's buffer
-    (unless the other side reads that product too), then scaled (unless its
-    coefficient is 1.0).  Each distinct actor is symmetry-checked and made
-    into operators once per call and, if it fails the check, warns once,
-    naming the caller's line; nothing is kept from one call to the next.
-    This is the one-row case of the grouped sweep by which the verifiers
-    reduce all their rows at once (:func:`_relation_sups`), and its sups
-    equal a grouped row's bit for bit.
-
-    The pair layout, the blocks, the derived last slot and the workers are
-    those of the module docstring, and none changes a bit on the kernels it
-    names.  ``coeffs`` that are not two finite real numbers are a
-    ``ValueError``, raised before any product; a reduced value that is not
-    finite is a :class:`NumericBreakdownError` naming ``check``.
+    ``(sup|c Sum lhs - e Sum rhs|, sup|c Sum lhs|)``, bit for bit those of
+    the same row in a grouped sweep (:func:`_relation_sups`).  Each distinct
+    actor is symmetry-checked once a call and, if it fails the check, warns
+    once (:func:`_warn`); nothing is kept from one call to the next.
+    ``coeffs`` that are not two finite real numbers are a ``ValueError``,
+    raised before any product; a reduced value that is not finite is a
+    :class:`NumericBreakdownError` naming ``check``.
     """
     return _relation_sups([(check, lhs, rhs, coeffs)])[0]
 
 
-def _relation_sups(rows: Sequence[tuple], stacklevel: int = 3) -> list[tuple[float, float]]:
+def _relation_sups(rows: Sequence[tuple]) -> list[tuple[float, float]]:
     """The defect and guard of each row ``(check, lhs, rhs, coeffs)``, in
     order, each as :func:`fused_sups` gives them, from one sweep that forms
     each distinct product of all the rows once a slab.  Every row is
     validated before any product, and the first row, in order, with a value
     that is not finite is the :class:`NumericBreakdownError`.  Each distinct
-    actor, its entries on its stage, is prepared once (:func:`_prepared`),
-    and one that fails the symmetry check warns at ``stacklevel``, counted
-    from here; the default names the line that called :func:`fused_sups`."""
+    actor, its entries on its stage, is prepared once (:func:`_prepared`)
+    and warns (:func:`_warn`) if it fails the symmetry check."""
     for _, lhs, rhs, coeffs in rows:
         if not lhs:
             raise ValueError("fused_sups needs at least one (actor, target) pair on the left")
@@ -563,12 +552,11 @@ def _relation_sups(rows: Sequence[tuple], stacklevel: int = 3) -> list[tuple[flo
     def actor(a):
         return id(a.tensor.entries), id(a.space)
 
-    ops = {}  # a loop: before Python 3.12 a comprehension is a frame of its own,
-    for a, _ in pairs:  # which the warning would name
+    ops = {}
+    for a, _ in pairs:
         if actor(a) not in ops:
             ops[actor(a)], _, (text,) = _prepared(a.space, a.tensor.entries[None])
-            if text is not None:
-                warnings.warn(text, KahlerSymmetryWarning, stacklevel=stacklevel)
+            _warn(text)
     # a product is an actor's stack on a target's entries, whichever wrappers
     # hold them, and each distinct target has one view, so that _sups forms
     # each product once and gates and copies each target once
@@ -614,8 +602,7 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
     if not np.all(np.isfinite(factors)):
         raise ValueError("pseudosymmetry factors must be finite")
     pi_ops, _, (text,) = _prepared(space, build_pi(space).tensor.entries[None])
-    if text is not None:
-        warnings.warn(text, KahlerSymmetryWarning, stacklevel=2)  # the loop's line
+    _warn(text)
     per = max(1, SLAB_BYTES // (8 * pi_ops.shape[1] * space.dim**4))
     pool: list = []
     for b0 in range(0, len(draws), per):
@@ -628,8 +615,7 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
         for i, row in enumerate(draws[b0:b0 + per].tolist()):
             if not math.isfinite(size[i]):
                 raise UsageError(f"coefficients {tuple(row)} give a curvature that is not finite")
-            if texts[i] is not None:
-                warnings.warn(texts[i], KahlerSymmetryWarning, stacklevel=2)  # the loop's line
+            _warn(texts[i])
             if not (math.isfinite(defect[i]) and math.isfinite(guard[i])):
                 raise NumericBreakdownError(_BREAKDOWN.format(check))
             yield float(defect[i]), float(guard[i])

@@ -110,11 +110,9 @@ def _relations(space: HermitianSpace, seed: int, tol: float, rows) -> list[Check
     ``c * Sum lhs = e * Sum rhs`` (see :func:`~qch.derivation.fused_sups`),
     to ``tol * (1 + |A| |T|)`` for the first product ``A . T`` of ``lhs``.  A
     row with a non-empty ``rhs`` is guarded by ``sup|c * Sum lhs|``.  The
-    rows share one sweep, which forms each distinct product once a slab.  An
-    actor that fails the symmetry check warns naming the line that called
-    the verifier or :func:`run_suite` that called this."""
+    rows share one sweep, which forms each distinct product once a slab."""
     started = time.perf_counter()
-    sups = iter(_relation_sups(rows, stacklevel=4))
+    sups = iter(_relation_sups(rows))
 
     def relation(lhs, rhs):
         defect, guard = next(sups)

@@ -289,28 +289,47 @@ def test_a_guard_of_ten_tol_is_vacuous_in_every_guarded_check(monkeypatch, above
 
 
 def test_a_block_that_fails_the_symmetries_warns_at_the_verifiers_caller(monkeypatch):
-    # Phi with one entry moved by 1.0: each relation verifier warns once a
-    # call, naming the line that called it, as fused_sups names its caller's
-    real = identities.build_phi
-
-    def lopsided(space):
-        arr = np.array(real(space).tensor.entries)
+    # Phi with one entry moved by 1.0, in the blocks of every stage, and a
+    # product curvature moved alike: every warning of every entry point
+    # names the line that called it, however deep in the package it is raised
+    def lopsided(t):
+        arr = np.array(t.entries)
         arr[0, 0, 0, 0] += 1.0
-        return CurvatureTensor(Tensor(space.dim, (0, 4), arr), space)
+        return Tensor(t.dim, (0, 4), arr)
 
-    monkeypatch.setattr(identities, "build_phi", lopsided)
-    sp = make_space(2)
-    for call in (
-        lambda: verify_multiplication_table(sp),
-        lambda: verify_eq32(sp),
-        lambda: run_suite([2], [0], suite="table"),
-        lambda: fused_sups([(lopsided(sp), build_pi(sp))]),
+    def stage(space):
+        pi, phi, psi = space.blocks
+        space.__dict__["blocks"] = (pi, lopsided(phi), psi)
+        return space
+
+    real_stage, real_product = identities.random_adapted_change, identities.product_curvature
+    monkeypatch.setattr(identities, "random_adapted_change", lambda *a: stage(real_stage(*a)))
+    monkeypatch.setattr(identities, "product_curvature",
+                        lambda *a: CurvatureTensor(lopsided(real_product(*a).tensor), a[-1]))
+    sp = stage(make_space(2))
+    phi, draws = build_phi(sp), np.array([[1.0, 1.0, 0.0], [0.5, -1.0, 2.0]])
+    for count, call in (
+        (1, lambda: fused_sups([(phi, build_pi(sp))])),
+        (1, lambda: curv_dot(phi, sp.g)),
+        (2, lambda: list(derivation.pseudosymmetry_sups(sp, draws, draws[:, 0], "theorem1"))),
+        (1, lambda: verify_multiplication_table(sp)),
+        (1, lambda: verify_eq32(sp)),
+        (3, lambda: verify_theorem1(sp, trials=3)),
+        (2, lambda: verify_product_route(sp, 0.5, 1.5)),
+        (1, lambda: run_suite([2], [0], trials=3, suite="table")),
+        (1, lambda: run_suite([2], [0], trials=3, suite="eq32")),
+        (3, lambda: run_suite([2], [0], trials=3, suite="theorem1")),
+        (2, lambda: run_suite([2], [0], trials=3, suite="product")),
+        (6, lambda: run_suite([2], [0], trials=3, suite="all")),
     ):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             call()
-        assert len(record) == 1 and issubclass(record[0].category, KahlerSymmetryWarning)
-        assert (record[0].filename, record[0].lineno) == (__file__, call.__code__.co_firstlineno)
+        line = call.__code__.co_firstlineno
+        assert len(record) == count, line
+        for r in record:
+            assert issubclass(r.category, KahlerSymmetryWarning)
+            assert (r.filename, r.lineno) == (__file__, line)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

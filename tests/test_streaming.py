@@ -963,41 +963,88 @@ def _prepare_beforehand(monkeypatch, actors):
     return {a: prepared[id(a.tensor.entries)][0] for a in actors}
 
 
+# the Python objects and small arrays that a sweep holds beside its buffers,
+# per worker and once more: at d = 4 to 20 they peak at 14 kB on one worker
+# and 28 kB on two
+_OBJECTS = 12 * 1024
+
+
+def _assert_sweep_holds_its_buffers(monkeypatch, lhs, rhs, coeffs, step, stacked=False):
+    """Run ``fused_sups(lhs, rhs, coeffs)`` of model curvatures, its actors
+    prepared beforehand, at ``step`` pairs a slab on 1, 2 and 3 cores, and
+    bound what it allocates by the real sizes: each worker's buffers (one a
+    product, then one spare, each a single trial's ``step`` pairs on the
+    largest of the worker's blocks of :func:`derivation._blocks`, or on the
+    square in a sweep of one slab), each distinct target's copy of each
+    block that is not full-width, a stacked sweep's copy of its largest
+    operator stack, and :data:`_OBJECTS` a worker and once more.  Once the
+    first slab begins, the memory held must grow by less than one slab, so
+    no slab is copied.  numpy's ufunc buffer is shrunk to 256 values
+    meanwhile, so that a transposed add allocates 3.4 kB rather than
+    13.8 kB at d = 4."""
+    pairs = lhs + rhs
+    d = pairs[0][0].space.dim
+    count = _upper(d)
+    targets = len({id(t.tensor.entries) for _, t in pairs})
+    stacks = [_stack(a) for a in dict.fromkeys(a for a, _ in pairs)]
+    copy = max(ops.nbytes for ops in stacks) if stacked else 0
+    real = derivation._action_slab
+    for cores in (1, 2, 3):
+        if count > step:
+            blocks = derivation._blocks(d, True)
+            workers = min(cores, 2) if derivation._BLAS else 1
+        else:
+            blocks, workers = ((slice(0, d), slice(0, d)),), 1
+        areas = [(rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in blocks]
+        held = copy + (workers + 1) * _OBJECTS + sum(
+            (len(pairs) + 1) * 8 * step * max(areas[w::workers]) * d**2 for w in range(workers))
+        held += sum(targets * 8 * area * d**2
+                    for area, (_, cols) in zip(areas, blocks) if cols.stop - cols.start < d)
+        slab = 8 * step * min(areas) * d**2
+        _use_cores(monkeypatch, cores)
+        first = []
+
+        def spy(*args, **kwargs):
+            if not first:  # the memory held, and the peak, as the first slab begins
+                first.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            if np.getbufsize() != 256:  # numpy's buffer size is per thread
+                np.setbufsize(256)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(derivation, "_action_slab", spy)
+        bufsize = np.setbufsize(256)
+        tracemalloc.start()
+        try:
+            derivation.fused_sups(lhs, rhs, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+            monkeypatch.setattr(derivation, "_action_slab", real)
+        (held_then, setup), = first[:1]
+        assert max(setup, peak) <= held, (len(pairs), cores, setup, peak, held)
+        # a per-slab copy of a slab (np.abs without out=, say) breaks this bound
+        assert peak - held_then < slab, (len(pairs), cores, peak - held_then, slab)
+
+
 def _assert_slabs_allocate_nothing(monkeypatch, n, pairs_per_slab, stacked):
     """Run theorem1's relation, and one with both sides summed and both
-    scaled, at complex dimension ``n`` with ``pairs_per_slab`` pairs a slab,
-    on 1, 2 and 3 cores: the product buffers and one term buffer must be
-    the only slab-sized arrays, beside the operator stacks (prepared before
-    tracing) and, when the sweep is ``stacked``, its copy of the largest
-    stack and numpy's buffer of its transposed adds (``np.getbufsize()``
-    values)."""
+    scaled, at complex dimension ``n`` with ``pairs_per_slab`` pairs a slab
+    (see :func:`_assert_sweep_holds_its_buffers`)."""
     sp = random_adapted_change(make_space(n), 3)
     pi, phi, psi = build_pi(sp), build_phi(sp), build_psi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
     d = sp.dim
     monkeypatch.setattr(derivation, "SLAB_BYTES", pairs_per_slab * 8 * d**4)
-    slab = min(pairs_per_slab, _upper(d)) * 8 * d**4
     operators = _prepare_beforehand(monkeypatch, [pi, phi, psi, r])
     assert all(ops.shape == (1, _upper(d), d, d) for ops in operators.values())
     for lhs, rhs, coeffs in [
         ([(r, r)], [(pi, r)], (1.0, 2.0)),
         ([(psi, pi), (pi, psi)], [(phi, psi), (psi, phi)], (3.0, 2.0)),
     ]:
-        pairs = lhs + rhs
-        stacks = [operators[a] for a in dict.fromkeys(a for a, _ in pairs)]
-        extra = sum(ops.nbytes for ops in stacks)
-        if stacked:
-            extra += max(ops.nbytes for ops in stacks) + 8 * np.getbufsize()
-        for cores in (1, 2, 3):
-            _use_cores(monkeypatch, cores)
-            tracemalloc.start()
-            try:
-                derivation.fused_sups(lhs, rhs, coeffs)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # a per-slab copy of a slab (np.abs without out=, say) breaks this bound
-            assert peak <= (len(pairs) + 1) * slab + extra, (len(pairs), cores, peak)
+        _assert_sweep_holds_its_buffers(monkeypatch, lhs, rhs, coeffs,
+                                        min(pairs_per_slab, _upper(d)), stacked)
 
 
 @pytest.mark.parametrize("pairs_per_slab", [32, 8, 1])
@@ -1016,29 +1063,18 @@ def test_a_stacked_slab_allocates_nothing_but_its_operators(monkeypatch, n):
 
 def test_the_derived_last_slot_allocates_nothing_per_slab(monkeypatch):
     # d = 20, one pair a slab: the transposed add of the third slot's term
-    # keeps within the bound of the four-slot sweeps at d = 8 (its operand
-    # is buffered by numpy, np.getbufsize() values at a time)
+    # allocates nothing but numpy's ufunc buffer
     sp = random_adapted_change(make_space(10), 3)
     pi = build_pi(sp)
     r = combine(QCHCoefficients(0.7, -1.3, 2.1), sp)
-    d = sp.dim
-    slab = 8 * d**4
-    monkeypatch.setattr(derivation, "SLAB_BYTES", slab)
-    pairs = [(r, r), (pi, r)]
-    operators = _prepare_beforehand(monkeypatch, [r, pi])
-    flags = set()
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 8 * sp.dim**4)
+    _prepare_beforehand(monkeypatch, [r, pi])
+    real, flags = derivation._action_slab, set()
     _spy_on_slab(monkeypatch, lambda a, slab: flags.add(a.antisym) or slab())
-    for cores in (1, 2):
-        _use_cores(monkeypatch, cores)
-        tracemalloc.start()
-        try:
-            derivation.fused_sups(pairs[:1], pairs[1:], (1.0, 0.05))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        ops_bytes = sum(ops.nbytes for ops in operators.values())
-        assert peak <= (len(pairs) + 1) * slab + ops_bytes, (cores, peak)
+    derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))
     assert flags == {True}
+    monkeypatch.setattr(derivation, "_action_slab", real)
+    _assert_sweep_holds_its_buffers(monkeypatch, [(r, r)], [(pi, r)], (1.0, 0.05), 1)
 
 
 @pytest.mark.parametrize("n", [2, 5])
