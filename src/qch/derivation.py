@@ -58,13 +58,20 @@ invariants, each exact bit for bit:
   that cut; the tests pin them at d = 16 and 20.  Under Sandybridge the
   d = 16 full-square eq32 defect that they compare is exactly 0.0 (7.29e-20
   under SkylakeX and Haswell), so there the pin shows nothing.
-- BLAS pin.  While two workers run, numpy's bundled OpenBLAS is pinned to
-  one thread under a module lock and restored when both have joined; where
-  its thread control is not found the sweep runs on the calling thread.
+- BLAS pin.  Numpy's bundled OpenBLAS is pinned to one thread under a module
+  lock from a derivation call's first operator preparation to its sweep's
+  end, and its old count is restored then, so that no OpenBLAS thread left
+  busy by a threaded GEMM of the preparation (at d = 20, the J pull-back of
+  the Kahler check) competes with the sweep's two workers.
+  :func:`pseudosymmetry_sups` holds it for each batch and never across a
+  ``yield``.  Concurrent derivation calls wait for each other for the whole
+  call, not only while a sweep is split.  Where the thread control is not
+  found nothing is pinned and every sweep runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import itertools
@@ -320,25 +327,50 @@ def _weighted_sum(slabs: Sequence[np.ndarray], coeff, out: np.ndarray | None) ->
 
 def _openblas():
     """The thread-count getter and setter of numpy's bundled OpenBLAS, or
-    None when its library or either symbol is not found."""
+    None when its library or either symbol is not found.  Numpy 2 bundles
+    scipy-openblas, whose symbols carry a ``scipy_`` prefix; numpy 1 bundles
+    OpenBLAS itself, with or without the ``64_`` suffix of its ILP64 build."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+    for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
         try:
             lib = ctypes.CDLL(path)
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
+        except OSError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
     return None
 
 
 _BLAS = _openblas()  # looked up once per process, not once per sweep
 
 # Held from pinning OpenBLAS to one thread until its old count is restored, so
-# two concurrent sweeps cannot leave it pinned.
-_BLAS_LOCK = threading.Lock()
+# two concurrent calls cannot leave it pinned; reentrant, so that a call made
+# while the pin is held on the same thread (a warning hook's) cannot deadlock.
+_BLAS_LOCK = threading.RLock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, under :data:`_BLAS_LOCK`, and
+    restore its old count on leaving; nothing where its thread control is
+    not found.  Entered again on the thread that holds it, it changes
+    nothing."""
+    if _BLAS is None:
+        yield
+        return
+    get, put = _BLAS
+    with _BLAS_LOCK:
+        old = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(old)
 
 
 def _blocks(d: int, triangle: bool) -> tuple:
@@ -412,11 +444,10 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
     if count > step:
         blocks = _blocks(d, all(_antisymmetric_in_first_pair(t) for t in distinct.values()))
         antisym = all(np.array_equal(t, -t.swapaxes(3, 4)) for t in distinct.values())
-        blas = _BLAS
     else:
-        blocks, blas, antisym = ((slice(0, d), slice(0, d)),), None, False
+        blocks, antisym = ((slice(0, d), slice(0, d)),), False
     stacked = count <= step and count * d**5 <= _STACK_MNK
-    workers = min(len(os.sched_getaffinity(0)), 2) if blas else 1
+    workers = min(len(os.sched_getaffinity(0)), 2) if count > step and _BLAS else 1
     pool = [] if pool is None else pool
     jobs = []
     for w in range(workers):
@@ -487,11 +518,8 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
             results[w] = exc
             stop.set()
 
-    get, put = blas
-    with _BLAS_LOCK:
-        old = get()
-        put(1)
-        threads = []
+    threads = []
+    with _one_blas_thread():  # already held when called from _relation_sups or a batch
         try:
             for w in range(1, workers):
                 thread = threading.Thread(target=work, args=(w,))
@@ -501,7 +529,6 @@ def _sups(stacks: list, targets: list, rows: list, pool: list | None = None) -> 
         finally:
             for thread in threads:
                 thread.join()
-            put(old)
     for result in results:
         if isinstance(result, BaseException):
             raise result
@@ -552,25 +579,25 @@ def _relation_sups(rows: Sequence[tuple]) -> list[tuple[float, float]]:
     def actor(a):
         return id(a.tensor.entries), id(a.space)
 
-    ops = {}
-    for a, _ in pairs:
-        if actor(a) not in ops:
-            ops[actor(a)], _, (text,) = _prepared(a.space, a.tensor.entries[None])
-            _warn(text)
+    def key(pair):
+        return actor(pair[0]), id(pair[1].tensor.entries)
+
     # a product is an actor's stack on a target's entries, whichever wrappers
     # hold them, and each distinct target has one view, so that _sups forms
     # each product once and gates and copies each target once
     views = {id(t.tensor.entries): t.tensor.entries[None] for _, t in pairs}
-
-    def key(pair):
-        return actor(pair[0]), id(pair[1].tensor.entries)
-
     products = dict(zip(map(key, pairs), pairs))  # in the order of first use
     index = {k: i for i, k in enumerate(products)}
-    sups = _sups([ops[actor(a)] for a, _ in products.values()],
-                 [views[id(t.tensor.entries)] for _, t in products.values()],
-                 [([index[key(p)] for p in lhs], [index[key(p)] for p in rhs], coeffs)
-                  for _, lhs, rhs, coeffs in rows])[..., 0]
+    ops = {}
+    with _one_blas_thread():
+        for a, _ in pairs:
+            if actor(a) not in ops:
+                ops[actor(a)], _, (text,) = _prepared(a.space, a.tensor.entries[None])
+                _warn(text)
+        sups = _sups([ops[actor(a)] for a, _ in products.values()],
+                     [views[id(t.tensor.entries)] for _, t in products.values()],
+                     [([index[key(p)] for p in lhs], [index[key(p)] for p in rhs], coeffs)
+                      for _, lhs, rhs, coeffs in rows])[..., 0]
     for (check, *_), row in zip(rows, sups):
         if not np.all(np.isfinite(row)):
             raise NumericBreakdownError(_BREAKDOWN.format(check))
@@ -594,6 +621,8 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
     Kahler-type symmetries warns, and a sup that is not finite is a
     :class:`NumericBreakdownError` naming ``check``.  A batch is formed when
     its first trial is asked for, so a caller that stops early forms no more.
+    OpenBLAS is pinned to one thread while Pi and each batch are formed, and
+    never while a trial is with the caller.
     """
     draws, factors = np.asarray(draws, dtype=float), np.asarray(factors, dtype=float)
     if draws.ndim != 2 or draws.shape[1] != 3 or factors.shape != draws.shape[:1]:
@@ -601,13 +630,15 @@ def pseudosymmetry_sups(space: HermitianSpace, draws: np.ndarray, factors: np.nd
                          f"got shapes {draws.shape} and {factors.shape}")
     if not np.all(np.isfinite(factors)):
         raise ValueError("pseudosymmetry factors must be finite")
-    pi_ops, _, (text,) = _prepared(space, build_pi(space).tensor.entries[None])
+    with _one_blas_thread():
+        pi_ops, _, (text,) = _prepared(space, build_pi(space).tensor.entries[None])
     _warn(text)
     per = max(1, SLAB_BYTES // (8 * pi_ops.shape[1] * space.dim**4))
     pool: list = []
     for b0 in range(0, len(draws), per):
         a, b, c = draws[b0:b0 + per].T
-        with np.errstate(over="ignore", invalid="ignore"):
+        # pinned while the batch is formed, never across a yield
+        with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
             rs = _combination(space, a, b, c)
             ops, size, texts = _prepared(space, rs)
             (defect, guard), = _sups([ops, pi_ops], [rs, rs],

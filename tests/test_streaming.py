@@ -8,6 +8,7 @@ before streaming; the two must give the same floats, whether the pairs form
 one slab or several.
 """
 
+import fnmatch
 import inspect
 import itertools
 import math
@@ -624,6 +625,162 @@ def test_a_missing_blas_symbol_runs_one_worker(monkeypatch):
     # the calling thread forms both blocks over X1 <= X2, one after the other
     assert seen == [(_upper(8), lo, hi, *block) for block in _sweep_blocks(8)
                     for lo, hi in _pairs(_upper(8), 4) for _ in "rp"]
+
+
+@pytest.mark.parametrize("suffix", ["64_", ""])
+def test_numpy_1s_openblas_thread_control_is_found(monkeypatch, suffix):
+    # numpy 1.x bundles OpenBLAS itself, e.g. libopenblas64_p-r0-15028c96.3.21.so,
+    # whose thread control has no scipy_ prefix (and no 64_ suffix when built
+    # with 32-bit integers)
+    made = []
+
+    class Numpy1:  # a library that exports numpy 1's names only
+        def __init__(self, path):
+            self.path = path
+            for verb in ("get", "set"):
+                setattr(self, f"openblas_{verb}_num_threads{suffix}", types.SimpleNamespace())
+            made.append(self)
+
+    def numpy1_libs(pattern):
+        name = os.path.join(os.path.dirname(pattern), "libopenblas64_p-r0-15028c96.3.21.so")
+        return fnmatch.filter([name], pattern)
+
+    monkeypatch.setattr(derivation.glob, "glob", numpy1_libs)
+    monkeypatch.setattr(derivation.ctypes, "CDLL", Numpy1)
+    get, put = derivation._openblas()
+    lib, = made
+    assert lib.path.endswith("numpy.libs/libopenblas64_p-r0-15028c96.3.21.so")
+    assert get is getattr(lib, f"openblas_get_num_threads{suffix}")
+    assert put is getattr(lib, f"openblas_set_num_threads{suffix}")
+    assert (get.argtypes, get.restype) == ([], derivation.ctypes.c_int)
+    assert (put.argtypes, put.restype) == ([derivation.ctypes.c_int], None)
+
+
+@needs_openblas
+def test_openblas_is_pinned_from_preparation_to_the_sweeps_end_only(monkeypatch):
+    # the Kahler check's GEMMs and every slab run on one OpenBLAS thread, and
+    # the caller never does: not while it holds a trial, nor after a return,
+    # an error raised in or between batches, or a generator closed early
+    space = random_adapted_change(make_space(4), 3)
+    pi = build_pi(space)
+    r = combine(QCHCoefficients(0.7, -1.3, 2.1), space)
+    _use_cores(monkeypatch, 2)
+    # 4 pairs a slab: each sweep splits its 7 slabs a block between two
+    # workers, and theorem1 runs one trial a batch
+    monkeypatch.setattr(derivation, "SLAB_BYTES", 4 * 8 * 8**4)
+    seen, failing = [], []
+    real = derivation._prepared
+
+    def preparing(*args):
+        seen.append(("prepared", threading.get_ident(), _blas_threads()))
+        if [kind for kind, *_ in seen].count("prepared") in failing:
+            raise RuntimeError("a preparation failed")
+        return real(*args)
+
+    def slab(a, form):
+        seen.append(("slab", threading.get_ident(), _blas_threads()))
+        return form()
+
+    monkeypatch.setattr(derivation, "_prepared", preparing)
+    _spy_on_slab(monkeypatch, slab)
+    get, put = derivation._BLAS
+    old = get()
+    put(2)
+    try:
+        derivation.fused_sups([(r, r)], [(pi, r)], (1.0, 0.05))
+        assert get() == 2
+        assert {count for *_, count in seen} == {1}
+        assert [kind for kind, *_ in seen].count("prepared") == 2  # r and pi
+        assert len({ident for kind, ident, _ in seen if kind == "slab"}) == 2
+        seen.clear()
+        draws, factors = _draws(space, 3)
+        for _ in derivation.pseudosymmetry_sups(space, draws, factors, "theorem1"):
+            assert get() == 2
+        assert get() == 2
+        assert {count for *_, count in seen} == {1}
+        assert [kind for kind, *_ in seen].count("prepared") == 4  # pi, then each batch
+        # each batch's sweep starts a worker thread of its own
+        assert len({ident for kind, ident, _ in seen if kind == "slab"}) > 1
+        sups = derivation.pseudosymmetry_sups(space, draws, factors, "theorem1")
+        next(sups)
+        sups.close()
+        assert get() == 2
+        # a combination that is not finite, and a product that overflows,
+        # are decided after their batch; a preparation that fails, inside it
+        for rows, error in [(np.array([[1.0, 0.5, -0.3], [1e308, 1e308, 1e308]]), UsageError),
+                            (np.array([[1.0, 0.5, -0.3], [1e160, 0.0, 0.0]]), NumericBreakdownError)]:
+            sups = derivation.pseudosymmetry_sups(space, rows, rows[:, 0], "theorem1")
+            next(sups)
+            with pytest.raises(error):
+                next(sups)
+            assert get() == 2
+        seen.clear()
+        failing.append(3)  # pi, the first batch, then the second batch's
+        sups = derivation.pseudosymmetry_sups(space, draws, factors, "theorem1")
+        next(sups)
+        with pytest.raises(RuntimeError, match="a preparation failed"):
+            next(sups)
+        assert get() == 2
+    finally:
+        put(old)
+
+
+@needs_openblas
+def test_a_derivation_call_from_a_warning_hook_inside_the_pin_returns(monkeypatch):
+    # a failing actor warns while its call holds the pin; a showwarning hook
+    # that makes a derivation call on the same thread enters the pin again
+    sp = make_space(2)
+    arr = np.array(build_pi(sp).tensor.entries)
+    arr[0, 0, 0, 0] += 1.0
+    lopsided, pi = CurvatureTensor(Tensor(4, (0, 4), arr), sp), build_pi(sp)
+    expected = derivation.fused_sups([(pi, pi)])
+    nested = []
+
+    def hook(message, category, *args):
+        nested.append((category, derivation.fused_sups([(pi, pi)]), _blas_threads()))
+
+    get, put = derivation._BLAS
+    old = get()
+    put(2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = hook
+            # on a thread of its own, so that a deadlock fails the test
+            caller = threading.Thread(target=derivation.fused_sups, args=([(lopsided, pi)],),
+                                      daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert nested == [(KahlerSymmetryWarning, expected, 1)]
+        assert get() == 2
+    finally:
+        put(old)
+
+
+@needs_openblas
+@pytest.mark.parametrize("n", [5, 10])
+def test_the_preparation_gives_the_same_bits_on_one_openblas_thread_or_two(n):
+    # the pin moves no bit: OpenBLAS splits a threaded GEMM over M and N,
+    # never K, so each entry is summed in the same order on any thread count
+    # (at d = 20 the J pull-back of the Kahler check is threaded)
+    space = random_adapted_change(make_space(n), n)
+    rs = derivation._combination(space, np.array([1.3, -0.4]), np.array([-0.6, 2.1]),
+                                 np.array([2.2, 0.7]))
+    get, put = derivation._BLAS
+    old = get()
+    put(2)
+    try:
+        threaded = derivation._prepared(space, rs)
+        with derivation._one_blas_thread():
+            assert get() == 1
+            pinned = derivation._prepared(space, rs)
+        assert get() == 2
+    finally:
+        put(old)
+    (ops, size, texts), (ops1, size1, texts1) = threaded, pinned
+    assert ops.shape == (2, _upper(2 * n), 2 * n, 2 * n)
+    assert np.array_equal(ops, ops1) and np.array_equal(size, size1) and texts == texts1
 
 
 @needs_openblas
